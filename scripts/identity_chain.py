@@ -57,8 +57,7 @@ def main() -> int:
           % ("holds" if conc.holds else "fails", conc.residual))
     gen = nabla1_P(c)
     print("  |nabla1 P|       %.3e (closed-form residual %.3e)"
-          % (np.max(np.abs(gen.tensor.components)),
-             gen.closed_form_residual))
+          % (np.max(np.abs(gen.tensor)), gen.closed_form_residual))
     grw = grw_detect(c)
     print("  warped product   %s" % ("detected" if grw.passes else "no"))
 

@@ -13,24 +13,22 @@ Three layers:
   plus the identity battery that structure implies (eigenvalue chain,
   parallel torsion, specialised Ricci forms, perfect-fluid coefficients).
 
-All residuals follow the package policy: max-norm over components divided by
-(1 + max |g_ij|) at the point, compared against a single tolerance.
+All residuals follow the package policy (geometry.residual): max-norm over
+components divided by (1 + max |g_ij|) at the point, compared against a
+single tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .connection import SSConnection, build_connection, check_concircular
-from .curvature import CurvatureBundle
+from .curvature import (THETAS, CurvatureBundle, einstein_closed_form,
+                        nabla1_torsion)
 from .fdcheck import fd_jacobian
-from .geometry import MetricSpec, VectorFieldSpec
-
-
-def _scale(g: np.ndarray) -> float:
-    return 1.0 + float(np.max(np.abs(g)))
+from .geometry import MetricSpec, VectorFieldSpec, normaliser, residual
 
 
 # ---------------------------------------------------------------------------
@@ -85,21 +83,20 @@ def _fit_torse(nabla_p: np.ndarray, P: np.ndarray):
 
 
 def classify_vector(m: MetricSpec, p: VectorFieldSpec, point,
-                    tol: float = 1e-8, fd_step: float = 1e-5,
+                    tol: float = 1e-8,
                     conn: SSConnection | None = None) -> VectorTaxonomy:
     c = conn if conn is not None else build_connection(m, p, point)
     f = c.frame
-    sc = _scale(f.g)
+    sc = normaliser(f.g)
     if float(np.max(np.abs(c.P))) <= tol * sc:
         return VectorTaxonomy(indeterminate=True)
 
     M = c.nabla_P()  # [k, i]
     w, eta = _fit_torse(M, c.P)
-    fit_res = float(np.max(np.abs(
-        M - w * np.eye(c.n) - np.outer(c.P, eta)))) / sc
+    fit_res = residual(M - w * np.eye(c.n) - np.outer(c.P, eta), f.g)
     torse = fit_res <= tol
 
-    eta_small = float(np.max(np.abs(eta))) / sc <= tol
+    eta_small = residual(eta, f.g) <= tol
     w_zero = abs(w) / sc <= tol
     w_one = abs(w - 1.0) / sc <= tol
     eta_P = float(eta @ c.P)
@@ -111,12 +108,11 @@ def classify_vector(m: MetricSpec, p: VectorFieldSpec, point,
             cq = build_connection(m, p, q)
             return _fit_torse(cq.nabla_P(), cq.P)[1]
 
-        deta = fd_jacobian(eta_field, f.point, fd_step)  # [i, a] = del_a eta_i
-        deta_res = float(np.max(np.abs(deta - deta.T))) / sc
+        deta = fd_jacobian(eta_field, f.point)  # [i, a] = del_a eta_i
+        deta_res = residual(deta - deta.T, f.g)
         yano = deta_res <= tol
 
-    geodesic = float(np.max(np.abs(
-        np.einsum("ki,i->k", M, c.P)))) / sc <= tol
+    geodesic = residual(np.einsum("ki,i->k", M, c.P), f.g) <= tol
 
     pi_P = c.pi_P
     timelike = abs(pi_P + 1.0) / sc <= tol
@@ -125,14 +121,12 @@ def classify_vector(m: MetricSpec, p: VectorFieldSpec, point,
     if timelike or spacelike:
         eps = 1.0 if spacelike else -1.0
         npi = c.nabla_pi().T  # [a, i] = (nabla_a pi)_i
-        unit_form = float(np.max(np.abs(
-            npi - w * (f.g - eps * np.outer(c.pi, c.pi))))) / sc
+        unit_form = residual(npi - w * (f.g - eps * np.outer(c.pi, c.pi)),
+                             f.g)
 
-    lie_g = (np.einsum("ija,a->ij", f.dg, c.P)
-             + np.einsum("aj,ai->ij", f.g, c.dP)
-             + np.einsum("ia,aj->ij", f.g, c.dP))
+    lie_g = c.lie_P_g()
     factor = float(np.einsum("ij,ij->", f.ginv, lie_g)) / (2.0 * c.n)
-    conf_res = float(np.max(np.abs(lie_g - 2.0 * factor * f.g))) / sc
+    conf_res = residual(lie_g - 2.0 * factor * f.g, f.g)
     conformal = conf_res <= tol
 
     return VectorTaxonomy(
@@ -148,10 +142,8 @@ def classify_vector(m: MetricSpec, p: VectorFieldSpec, point,
         recurrent=torse and w_zero,
         concurrent=torse and eta_small and w_one,
         parallel=torse and eta_small and w_zero,
-        self_torse_forming=torse and
-            float(np.max(np.abs(eta - c.pi))) / sc <= tol,
-        anti_torqued=torse and
-            float(np.max(np.abs(eta + w * c.pi))) / sc <= tol,
+        self_torse_forming=torse and residual(eta - c.pi, f.g) <= tol,
+        anti_torqued=torse and residual(eta + w * c.pi, f.g) <= tol,
         geodesic=geodesic,
         unit_timelike=timelike,
         unit_spacelike=spacelike,
@@ -210,10 +202,9 @@ class QuasiEinsteinFit:
 
 def classify_quasi_einstein(d: RicciData, tol: float = 1e-8) -> QuasiEinsteinFit:
     """Least-squares Ric = a g + b pi x pi with an Einstein special case."""
-    sc = _scale(d.g)
     pp = np.outer(d.pi, d.pi)
     gg = float(np.sum(d.g * d.g))
-    if float(np.max(np.abs(d.pi))) / sc <= tol:
+    if residual(d.pi, d.g) <= tol:
         a = float(np.sum(d.g * d.ric)) / gg
         b, identifiable = 0.0, False
     else:
@@ -223,28 +214,16 @@ def classify_quasi_einstein(d: RicciData, tol: float = 1e-8) -> QuasiEinsteinFit
         rhs = np.array([float(np.sum(d.g * d.ric)),
                         float(np.sum(pp * d.ric))])
         a, b = np.linalg.solve(gram, rhs)
-    res = float(np.max(np.abs(d.ric - a * d.g - b * pp))) / sc
-    einstein = float(np.max(np.abs(
-        d.ric - (d.r / d.n) * d.g))) / sc <= tol
+    res = residual(d.ric - a * d.g - b * pp, d.g)
+    einstein = residual(d.ric - (d.r / d.n) * d.g, d.g) <= tol
     return QuasiEinsteinFit(float(a), float(b), res, res <= tol,
                             einstein, identifiable)
 
 
 def _einstein_theta_from_data(theta, d: RicciData) -> np.ndarray:
     """E^theta from (g, Ric, pi) through the traceless-tensor relations."""
-    n = d.n
-    e_g = d.ric - (d.r / n) * d.g
-    if theta in ("g", 1, 2, 3):
-        return e_g
-    pp = np.outer(d.pi, d.pi)
-    pP = d.pi_P
-    if theta == 0:
-        return e_g + (n - 1) / (4.0 * n) * pP * d.g - 0.25 * (n - 1) * pp
-    if theta == 4:
-        return e_g + (n - 1) / float(n) * pP * d.g - float(n - 1) * pp
-    if theta == 5:
-        return e_g + (n - 1) / (2.0 * n) * pP * d.g - 0.5 * (n - 1) * pp
-    raise ValueError("unknown curvature family %r" % (theta,))
+    e_g = d.ric - (d.r / d.n) * d.g
+    return einstein_closed_form(theta, e_g, d.g, d.pi, d.pi_P)
 
 
 @dataclass(frozen=True)
@@ -262,21 +241,23 @@ def einstein_type(theta, source, tol: float = 1e-8) -> KindVerdict:
     else:
         g = source.g
         e = _einstein_theta_from_data(theta, source)
-    res = float(np.max(np.abs(e))) / _scale(g)
+    res = residual(e, g)
     return KindVerdict(theta, res, res <= tol)
 
 
-_QE_FORM_COEFFS = {
-    # theta -> (a as function of (n, r, piP), b coefficient of pi x pi)
-    0: lambda n, r, pP: ((4.0 * r - (n - 1) * pP) / (4.0 * n), (n - 1) / 4.0),
-    4: lambda n, r, pP: ((r - (n - 1) * pP) / float(n), float(n - 1)),
-    5: lambda n, r, pP: ((2.0 * r - (n - 1) * pP) / (2.0 * n), (n - 1) / 2.0),
-}
-
-_GRW_KIND_R = {
-    0: lambda n: (n - 1) * (5 * n - 1) / 4.0,
-    4: lambda n: (n - 1) * (2 * n - 1.0),
-    5: lambda n: (n - 1) * (3 * n - 1) / 2.0,
+# E^theta = 0 iff Ric = a g + b pi x pi.  theta -> (a(n, r, pi(P)), b(n),
+# r_GRW(n)), where r_GRW is the scalar curvature the form forces when pi is
+# unit timelike.
+KINDS = {
+    0: (lambda n, r, pP: (4.0 * r - (n - 1) * pP) / (4.0 * n),
+        lambda n: (n - 1) / 4.0,
+        lambda n: (n - 1) * (5 * n - 1) / 4.0),
+    4: (lambda n, r, pP: (r - (n - 1) * pP) / float(n),
+        lambda n: float(n - 1),
+        lambda n: (n - 1) * (2 * n - 1.0)),
+    5: (lambda n, r, pP: (2.0 * r - (n - 1) * pP) / (2.0 * n),
+        lambda n: (n - 1) / 2.0,
+        lambda n: (n - 1) * (3 * n - 1) / 2.0),
 }
 
 
@@ -297,21 +278,19 @@ class EquivalenceReport:
 
 def quasi_einstein_equivalences(theta: int, d: RicciData,
                                 tol: float = 1e-8) -> EquivalenceReport:
-    if theta not in _QE_FORM_COEFFS:
+    if theta not in KINDS:
         raise ValueError("equivalences are stated for families 0, 4, 5")
+    a_of, b_of, r_of = KINDS[theta]
     n, r, pP = d.n, d.r, d.pi_P
-    sc = _scale(d.g)
-    e = _einstein_theta_from_data(theta, d)
-    e_res = float(np.max(np.abs(e))) / sc
-    a, b = _QE_FORM_COEFFS[theta](n, r, pP)
-    form = a * d.g + b * np.outer(d.pi, d.pi)
-    form_res = float(np.max(np.abs(d.ric - form))) / sc
+    e_res = residual(_einstein_theta_from_data(theta, d), d.g)
+    form = a_of(n, r, pP) * d.g + b_of(n) * np.outer(d.pi, d.pi)
+    form_res = residual(d.ric - form, d.g)
     e_holds, form_holds = e_res <= tol, form_res <= tol
 
     kind_r = None
     kind_match = None
-    if abs(pP + 1.0) <= tol * sc:
-        kind_r = _GRW_KIND_R[theta](n)
+    if abs(pP + 1.0) <= tol * normaliser(d.g):
+        kind_r = r_of(n)
         kind_match = abs(r - kind_r) <= tol * (1.0 + abs(kind_r))
     return EquivalenceReport(theta, e_res, form_res, e_holds, form_holds,
                              e_holds == form_holds, kind_r, r,
@@ -336,36 +315,30 @@ class GRWReport:
 
 def grw_detect(c: SSConnection, tol: float = 1e-8) -> GRWReport:
     f = c.frame
-    sc = _scale(f.g)
     lorentzian = f.lorentzian
-    unit = abs(c.pi_P + 1.0) / sc <= tol
-    gen_res = float(np.max(np.abs(
-        c.nabla_P() - np.eye(c.n) - np.outer(c.P, c.pi)))) / sc
+    unit = abs(c.pi_P + 1.0) / normaliser(f.g) <= tol
+    gen_res = residual(c.nabla_P() - np.eye(c.n) - np.outer(c.P, c.pi), f.g)
     passes = lorentzian and unit and gen_res <= tol
     if not passes:
         return GRWReport(lorentzian, unit, gen_res, False, c.omega,
                          None, None)
-    n1p = c.dP + np.einsum("kam,m->ka", c.gamma1, c.P)
     return GRWReport(lorentzian, unit, gen_res, True, c.omega,
                      abs(c.omega - 1.0) <= tol,
-                     float(np.max(np.abs(n1p))) / sc)
+                     residual(c.nabla1_P(), f.g))
 
 
 def grw_identity_suite(bundle: CurvatureBundle) -> dict:
     """Residuals of the identities a GRW generator forces; keys by content."""
-    from .curvature import nabla1_torsion  # local to avoid an import cycle
-
     c = bundle.connection
     f = c.frame
     n = c.n
-    sc = _scale(f.g)
     pi, P = c.pi, c.P
     pp = np.outer(pi, pi)
     ric_g = bundle.ricci["g"]
     out = {}
 
     def put(name, arr):
-        out[name] = float(np.max(np.abs(arr))) / sc
+        out[name] = residual(arr, f.g)
 
     target = (n - 1.0) * pi
     put("ric1_of_P", bundle.ricci[1] @ P)
@@ -384,9 +357,7 @@ def grw_identity_suite(bundle: CurvatureBundle) -> dict:
 
     npi = c.nabla_pi()  # [i, a]
     put("nabla_P_pi", np.einsum("ia,a->i", npi, P))
-    lie_pi = (np.einsum("ia,a->i", c.dpi, P)
-              + np.einsum("a,ai->i", pi, c.dP))
-    put("lie_P_pi", lie_pi)
+    put("lie_P_pi", c.lie_P_pi())
     put("torsion_of_P", np.einsum("kij,i->kj", c.torsion, P) - c.nabla_P())
     return out
 
@@ -443,19 +414,16 @@ class ClassificationReport:
 
 
 def classify_point(m: MetricSpec, p: VectorFieldSpec, point,
-                   bundle: CurvatureBundle, tol: float = 1e-8,
-                   fd_step: float = 1e-5) -> ClassificationReport:
+                   bundle: CurvatureBundle,
+                   tol: float = 1e-8) -> ClassificationReport:
     c = bundle.connection
     conc = check_concircular(c, tol)
-    taxonomy = classify_vector(m, p, point, tol, fd_step, conn=c)
+    taxonomy = classify_vector(m, p, point, tol, conn=c)
     data = RicciData.from_bundle(bundle)
     qe = classify_quasi_einstein(data, tol)
-    kinds = {t: einstein_type(t, bundle, tol) for t in THETAS_ALL}
+    kinds = {t: einstein_type(t, bundle, tol) for t in THETAS}
     grw = grw_detect(c, tol)
     identities = grw_identity_suite(bundle) if grw.passes else None
     fluid = perfect_fluid_kind(bundle, tol) if grw.passes else None
     return ClassificationReport(c.frame.point, conc.holds, conc.residual,
                                 taxonomy, qe, kinds, grw, identities, fluid)
-
-
-THETAS_ALL = ("g", 0, 1, 2, 3, 4, 5)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (MetricSpec, PointFrame, Tensor, VectorFieldSpec,
-                       frame_at, residual)
+from .geometry import (MetricSpec, PointFrame, VectorFieldSpec, frame_at,
+                       residual)
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,22 @@ class SSConnection:
     def nabla_P(self) -> np.ndarray:
         """Levi-Civita (nabla_a P)^k, stored [k, a]."""
         return self.dP + np.einsum("kam,m->ka", self.frame.gamma, self.P)
+
+    def nabla1_P(self) -> np.ndarray:
+        """(nabla1_a P)^k, stored [k, a]."""
+        return self.dP + np.einsum("kam,m->ka", self.gamma1, self.P)
+
+    def lie_P_g(self) -> np.ndarray:
+        """(L_P g)_ij from coordinate derivatives."""
+        f = self.frame
+        return (np.einsum("ija,a->ij", f.dg, self.P)
+                + np.einsum("aj,ai->ij", f.g, self.dP)
+                + np.einsum("ia,aj->ij", f.g, self.dP))
+
+    def lie_P_pi(self) -> np.ndarray:
+        """(L_P pi)_i from coordinate derivatives."""
+        return (np.einsum("ia,a->i", self.dpi, self.P)
+                + np.einsum("a,ai->i", self.pi, self.dP))
 
     def nabla1_g(self) -> np.ndarray:
         """(nabla1_a g)_ij stored [i, j, a]; vanishes (metric connection)."""
@@ -108,7 +124,7 @@ def check_concircular(c: SSConnection, tol: float = 1e-8) -> ConditionReport:
     dev = (c.nabla_pi()
            - np.outer(c.pi, c.pi)
            - c.omega * c.frame.g)
-    res = residual(dev, c.frame)
+    res = residual(dev, c.frame.g)
     return ConditionReport(res, res <= tol,
                            {"omega": c.omega, "pi_P": c.pi_P})
 
@@ -120,7 +136,7 @@ def s_concircular_check(c: SSConnection, tol: float = 1e-8) -> ConditionReport:
          + 0.5 * c.pi_P * c.frame.g)
     mu = c.omega + 0.5 * c.pi_P
     dev = s - mu * c.frame.g
-    res = residual(dev, c.frame)
+    res = residual(dev, c.frame.g)
     return ConditionReport(res, res <= tol, {"mu": mu})
 
 
@@ -128,20 +144,17 @@ def s_concircular_check(c: SSConnection, tol: float = 1e-8) -> ConditionReport:
 class GeneratorDerivative:
     """nabla1 P together with its concircular closed form."""
 
-    tensor: Tensor                 # [k, a] = (nabla1_a P)^k
+    tensor: np.ndarray             # [k, a] = (nabla1_a P)^k
     closed_form_residual: float    # vs (omega + pi(P)) identity
     applicable: bool               # concircularity verdict at this point
 
 
 def nabla1_P(c: SSConnection, tol: float = 1e-8) -> GeneratorDerivative:
-    val = c.dP + np.einsum("kam,m->ka", c.gamma1, c.P)
+    val = c.nabla1_P()
     closed = (c.omega + c.pi_P) * np.eye(c.n)
     applicable = check_concircular(c, tol).holds
-    return GeneratorDerivative(
-        Tensor(val, ("u", "d"), c.frame.point),
-        residual(val - closed, c.frame),
-        applicable,
-    )
+    return GeneratorDerivative(val, residual(val - closed, c.frame.g),
+                               applicable)
 
 
 def identity_suite(c: SSConnection) -> dict:
@@ -151,35 +164,30 @@ def identity_suite(c: SSConnection) -> dict:
     under the concircularity condition, so their residuals are only expected
     to vanish when that condition holds at the point.
     """
-    f = c.frame
+    g = c.frame.g
     kappa = c.omega + c.pi_P
     out = {}
 
     # nabla1 along P coincides with the Levi-Civita derivative along P.
-    diff = np.einsum("a,kaj->kj", c.P, c.gamma1 - f.gamma)
-    out["nabla1_along_P"] = residual(diff, f)
+    diff = np.einsum("a,kaj->kj", c.P, c.gamma1 - c.frame.gamma)
+    out["nabla1_along_P"] = residual(diff, g)
 
     # The torsion is pi-null: pi(T(X, Y)) = 0.
     out["pi_of_torsion"] = residual(
-        np.einsum("k,kij->ij", c.pi, c.torsion), f)
+        np.einsum("k,kij->ij", c.pi, c.torsion), g)
 
     npi = c.nabla_pi()  # [i, a] = (nabla_a pi)_i
     # (nabla_X pi)(P) = kappa pi(X) and (nabla_P pi)(X) = kappa pi(X).
     out["nabla_pi_on_P"] = residual(
-        np.einsum("ia,i->a", npi, c.P) - kappa * c.pi, f)
+        np.einsum("ia,i->a", npi, c.P) - kappa * c.pi, g)
     out["nabla_P_pi"] = residual(
-        np.einsum("ia,a->i", npi, c.P) - kappa * c.pi, f)
+        np.einsum("ia,a->i", npi, c.P) - kappa * c.pi, g)
 
     # Lie derivative of pi along P: L_P pi = 2 kappa pi.
-    lie_pi = (np.einsum("ia,a->i", c.dpi, c.P)
-              + np.einsum("a,ai->i", c.pi, c.dP))
-    out["lie_P_pi"] = residual(lie_pi - 2.0 * kappa * c.pi, f)
+    out["lie_P_pi"] = residual(c.lie_P_pi() - 2.0 * kappa * c.pi, g)
 
     # L_P g = 2 nabla pi (needs nabla pi symmetric, true when concircular).
-    lie_g = (np.einsum("ija,a->ij", f.dg, c.P)
-             + np.einsum("aj,ai->ij", f.g, c.dP)
-             + np.einsum("ia,aj->ij", f.g, c.dP))
-    out["lie_P_g"] = residual(lie_g - 2.0 * npi.T, f)
+    out["lie_P_g"] = residual(c.lie_P_g() - 2.0 * npi.T, g)
     return out
 
 
@@ -187,7 +195,7 @@ def identity_suite(c: SSConnection) -> dict:
 class ConformalReport:
     """Behaviour of g under the generator flow seen through nabla1."""
 
-    lie1_g: Tensor
+    lie1_g: np.ndarray
     fitted_factor: float
     fit_residual: float
     theorem_residual: float   # against 2 (omega + pi(P)) g
@@ -202,15 +210,13 @@ def lie_g_nonsym(c: SSConnection, tol: float = 1e-8) -> ConformalReport:
     reports honestly when the concircularity hypothesis fails.
     """
     f = c.frame
-    n1g = c.nabla1_g()
-    n1P = c.dP + np.einsum("kam,m->ka", c.gamma1, c.P)
-    lie1 = (np.einsum("ija,a->ij", n1g, c.P)
+    n1P = c.nabla1_P()
+    lie1 = (np.einsum("ija,a->ij", c.nabla1_g(), c.P)
             + np.einsum("kj,ki->ij", f.g, n1P)
             + np.einsum("ik,kj->ij", f.g, n1P))
     factor = float(np.einsum("ij,ij->", f.ginv, lie1)) / (2.0 * c.n)
-    fit_res = residual(lie1 - 2.0 * factor * f.g, f)
-    thm_res = residual(lie1 - 2.0 * (c.omega + c.pi_P) * f.g, f)
+    fit_res = residual(lie1 - 2.0 * factor * f.g, f.g)
+    thm_res = residual(lie1 - 2.0 * (c.omega + c.pi_P) * f.g, f.g)
     conformal = fit_res <= tol
-    return ConformalReport(Tensor(lie1, ("d", "d"), f.point),
-                           factor, fit_res, thm_res,
+    return ConformalReport(lie1, factor, fit_res, thm_res,
                            conformal, conformal and abs(factor) <= tol)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import SSConnection
-from .geometry import ricci_from_riemann, riemann_from_gamma
+from .geometry import residual, ricci_from_riemann, riemann_from_gamma
 
 THETAS = ("g", 0, 1, 2, 3, 4, 5)
 
@@ -135,8 +135,9 @@ def closed_form_scalar(theta, c: SSConnection, r_g: float) -> float:
     raise ValueError("unknown curvature family %r" % (theta,))
 
 
-def einstein_relations(bundle: CurvatureBundle) -> dict:
-    """Residuals of E^theta against its Levi-Civita expression.
+def einstein_closed_form(theta, e_g: np.ndarray, g: np.ndarray,
+                         pi: np.ndarray, pi_P: float) -> np.ndarray:
+    """E^theta from E^g, pi(P) and pi x pi.
 
     The traceless tensors satisfy E^1 = E^2 = E^3 = E^g and
 
@@ -146,20 +147,24 @@ def einstein_relations(bundle: CurvatureBundle) -> dict:
 
     whenever the generator is concircular.
     """
+    n = g.shape[0]
+    if theta in ("g", 1, 2, 3):
+        return e_g
+    pp = np.outer(pi, pi)
+    if theta == 0:
+        return e_g + (n - 1) / (4.0 * n) * pi_P * g - 0.25 * (n - 1) * pp
+    if theta == 4:
+        return e_g + (n - 1) / float(n) * pi_P * g - float(n - 1) * pp
+    if theta == 5:
+        return e_g + (n - 1) / (2.0 * n) * pi_P * g - 0.5 * (n - 1) * pp
+    raise ValueError("unknown curvature family %r" % (theta,))
+
+
+def einstein_relations(bundle: CurvatureBundle) -> dict:
+    """Residuals of E^theta against einstein_closed_form, theta = 0..5."""
     c = bundle.connection
-    n = c.n
     g = c.frame.g
-    pp = np.outer(c.pi, c.pi)
-    pP = c.pi_P
     e_g = bundle.einstein["g"]
-    expected = {
-        0: e_g + (n - 1) / (4.0 * n) * pP * g - 0.25 * (n - 1) * pp,
-        1: e_g,
-        2: e_g,
-        3: e_g,
-        4: e_g + (n - 1) / float(n) * pP * g - float(n - 1) * pp,
-        5: e_g + (n - 1) / (2.0 * n) * pP * g - 0.5 * (n - 1) * pp,
-    }
-    scale = 1.0 + float(np.max(np.abs(g)))
-    return {t: float(np.max(np.abs(bundle.einstein[t] - expected[t]))) / scale
-            for t in expected}
+    return {t: residual(bundle.einstein[t]
+                        - einstein_closed_form(t, e_g, g, c.pi, c.pi_P), g)
+            for t in (0, 1, 2, 3, 4, 5)}

@@ -21,12 +21,11 @@ Index conventions used across the package (all arrays are dense numpy):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, parse
-from .jets import Jet2
+from .expr import parse
 
 
 class SingularMetricError(ArithmeticError):
@@ -34,28 +33,6 @@ class SingularMetricError(ArithmeticError):
 
 
 DET_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class Tensor:
-    """Dense tensor components at a single point.
-
-    ``variance`` holds one character per slot, 'u' (contravariant) or
-    'd' (covariant), in component-axis order.
-    """
-
-    components: np.ndarray
-    variance: tuple
-    point: np.ndarray
-
-    def __post_init__(self):
-        if self.components.ndim != len(self.variance):
-            raise ValueError("variance length %d does not match rank %d"
-                             % (len(self.variance), self.components.ndim))
-
-    @property
-    def rank(self) -> int:
-        return self.components.ndim
 
 
 @dataclass(frozen=True)
@@ -117,9 +94,6 @@ class MetricSpec:
                 g[i, j] = g[j, i] = self.entries[i, j].val(point)
         return g
 
-    def as_field(self) -> "ExprField":
-        return ExprField(self.entries, ("d", "d"))
-
 
 @dataclass(frozen=True)
 class VectorFieldSpec:
@@ -151,25 +125,6 @@ class VectorFieldSpec:
             P[k] = jet.value
             dP[k] = jet.grad
         return P, dP
-
-    def as_field(self) -> "ExprField":
-        arr = np.empty(len(self.components), dtype=object)
-        arr[:] = list(self.components)
-        return ExprField(arr, ("u",))
-
-
-@dataclass(frozen=True)
-class ExprField:
-    """Tensor field whose components are coordinate expressions."""
-
-    components: np.ndarray  # object array of Expr
-    variance: tuple
-
-    def jets(self, point: np.ndarray) -> np.ndarray:
-        out = np.empty(self.components.shape, dtype=object)
-        for idx in np.ndindex(self.components.shape):
-            out[idx] = self.components[idx].jet(point)
-        return out
 
 
 @dataclass(frozen=True)
@@ -245,52 +200,11 @@ def ricci_from_riemann(riem: np.ndarray) -> np.ndarray:
     return np.einsum("cbca->ab", riem)
 
 
-def lc_riemann(f: PointFrame) -> Tensor:
-    return Tensor(riemann_from_gamma(f.gamma, f.dgamma),
-                  ("u", "d", "d", "d"), f.point)
+def normaliser(g: np.ndarray) -> float:
+    """The residual normaliser 1 + max |g_ij| of the package policy."""
+    return 1.0 + float(np.max(np.abs(g)))
 
 
-def lc_ricci(f: PointFrame) -> Tensor:
-    return Tensor(ricci_from_riemann(lc_riemann(f).components),
-                  ("d", "d"), f.point)
-
-
-def lc_scalar(f: PointFrame) -> float:
-    return float(np.einsum("ab,ab->", f.ginv, lc_ricci(f).components))
-
-
-def covariant_derivative(fld, f: PointFrame,
-                         coeffs: np.ndarray | None = None) -> Tensor:
-    """Covariant derivative of a tensor field at f.point.
-
-    ``fld`` needs ``variance`` and ``jets(point)``; ``coeffs`` are connection
-    coefficients in gamma layout (Levi-Civita by default).  The derivative
-    slot is appended last.
-    """
-    if coeffs is None:
-        coeffs = f.gamma
-    jets = fld.jets(f.point)
-    shape = jets.shape
-    n = f.n
-    vals = np.zeros(shape)
-    parts = np.zeros(shape + (n,))
-    for idx in np.ndindex(shape):
-        vals[idx] = jets[idx].value
-        parts[idx] = jets[idx].grad
-    out = parts.copy()
-    for slot, var in enumerate(fld.variance):
-        if var == "u":
-            # + Gamma^k_am F^{..m..}: contract slot with the argument index.
-            tmp = np.tensordot(vals, coeffs, axes=(slot, 2))
-            out += np.moveaxis(tmp, -2, slot)
-        else:
-            # - Gamma^m_ad F_{..m..}: contract slot with the upper index.
-            tmp = np.tensordot(vals, coeffs, axes=(slot, 0))
-            out -= np.moveaxis(tmp, -1, slot)
-    return Tensor(out, tuple(fld.variance) + ("d",), f.point)
-
-
-def residual(arr, f: PointFrame) -> float:
-    """Max-norm of arr normalised by (1 + max |g_ij|) at the point."""
-    scale = 1.0 + float(np.max(np.abs(f.g)))
-    return float(np.max(np.abs(arr))) / scale
+def residual(arr, g: np.ndarray) -> float:
+    """Max-norm of arr normalised by (1 + max |g_ij|) for the metric g."""
+    return float(np.max(np.abs(arr))) / normaliser(g)

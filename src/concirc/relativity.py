@@ -75,7 +75,8 @@ def efe_residual(bundle: CurvatureBundle, fluid: FluidParams) -> EFEReport:
     sigma, p = fluid.values(f.point)
     tau = stress_energy(c, sigma, p)
     lhs = bundle.ricci["g"] - 0.5 * bundle.scalar["g"] * f.g + fluid.lam * f.g
-    return EFEReport(_residual(lhs - fluid.k * tau, f), lhs, tau, sigma, p)
+    res = _residual(lhs - fluid.k * tau, f.g)
+    return EFEReport(res, lhs, tau, sigma, p)
 
 
 def div_symmetric_2tensor(c: SSConnection, tau: np.ndarray,

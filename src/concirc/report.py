@@ -14,12 +14,14 @@ Machine format emits one line per record::
     VERDICT <name> point=<index> value=<token>
 
 Aggregate records use point=-1 (worst residual over all points for checks,
-the common value or "mixed" for verdicts).  Floats are formatted with repr
+NaN if any point's residual is NaN; the common value or "mixed" for
+verdicts).  Floats are formatted with repr
 so they round-trip through float() exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +101,11 @@ class Report:
         """Append the point=-1 summary rows (idempotent per run)."""
         for name in self._ordered_names(self.checks):
             rows = [c for c in self.checks if c.name == name and c.point >= 0]
-            worst = max(c.residual for c in rows)
+            # max() over a list holding NaN depends on where the NaN sits
+            if any(math.isnan(c.residual) for c in rows):
+                worst = math.nan
+            else:
+                worst = max(c.residual for c in rows)
             self.checks.append(CheckRecord(name, -1, worst,
                                            all(c.passed for c in rows)))
         for name in self._ordered_names(self.verdicts):

@@ -18,18 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import build_case
-from .classify import (RicciData, classify_quasi_einstein, einstein_type,
-                       grw_detect, grw_identity_suite, perfect_fluid_kind,
-                       quasi_einstein_equivalences)
+from .classify import (KINDS, RicciData, classify_quasi_einstein,
+                       einstein_type, grw_detect, grw_identity_suite,
+                       perfect_fluid_kind, quasi_einstein_equivalences)
 from .config import AnalysisSetup
 from .connection import (build_connection, check_concircular, nabla1_P,
                          s_concircular_check)
 from .curvature import (closed_form_ricci, closed_form_scalar,
                         curvature_family)
-from .expr import to_string
 from .fdcheck import fd_gamma, fd_riemann
-from .geometry import (MetricSpec, VectorFieldSpec, frame_at, lc_riemann,
-                       residual)
+from .geometry import (MetricSpec, VectorFieldSpec, frame_at, residual,
+                       riemann_from_gamma)
 from .relativity import FluidParams, div_tau, efe_residual, phantom_verdict
 from .report import fmt_float
 from .sampling import LCG, sample_points
@@ -70,7 +69,7 @@ def closed_form_curvature_anchor(seed: int = 0) -> CriterionResult:
                 case_worst = max(
                     case_worst,
                     residual(closed_form_ricci(t, c, ric_g)
-                             - bundle.ricci[t], c.frame),
+                             - bundle.ricci[t], c.frame.g),
                     abs(closed_form_scalar(t, c, r_g) - bundle.scalar[t])
                     / (1.0 + abs(r_g)))
         per_case.append("%s %.3e" % (name, case_worst))
@@ -96,8 +95,9 @@ def derivative_oracle(seed: int = 0) -> CriterionResult:
             worst = max(worst,
                         float(np.max(np.abs(fd_gamma(case.metric, pt)
                                             - f.gamma))),
-                        float(np.max(np.abs(fd_riemann(case.metric, pt)
-                                            - lc_riemann(f).components))))
+                        float(np.max(np.abs(
+                            fd_riemann(case.metric, pt)
+                            - riemann_from_gamma(f.gamma, f.dgamma)))))
     return CriterionResult(2, "derivative_oracle", worst <= tol, worst,
                            "absolute deviation over 5 cases x 16 points, "
                            "h = 1e-5")
@@ -122,11 +122,11 @@ def desitter_chain(seed: int = 0) -> CriterionResult:
             worst,
             abs(c.omega - 1.0),
             nabla1_P(c, tol).closed_form_residual,
-            residual(bundle.ricci["g"] - 3.0 * f.g, f),
+            residual(bundle.ricci["g"] - 3.0 * f.g, f.g),
             abs(bundle.scalar["g"] - 12.0) / 13.0,
-            residual(bundle.ricci[1], f),
+            residual(bundle.ricci[1], f.g),
             max(einstein_type(t, bundle, tol).residual for t in (1, 2, 3)),
-            residual(bundle.ricci[0] + 0.75 * pp, f),
+            residual(bundle.ricci[0] + 0.75 * pp, f.g),
             abs(bundle.scalar[0] - 0.75) / 1.75,
             abs(bundle.scalar[4] - 3.0) / 4.0,
             abs(qe.a - 3.0),
@@ -154,7 +154,7 @@ def grw_identity_battery(seed: int = 0) -> CriterionResult:
         fluid_kind = perfect_fluid_kind(bundle, tol)
         worst = max(worst,
                     max(suite.values()),
-                    residual(div_pi_pi(c) - (c.n - 1.0) * c.pi, c.frame),
+                    residual(div_pi_pi(c) - (c.n - 1.0) * c.pi, c.frame.g),
                     abs(fluid_kind.a_minus_b - 3.0))
         scalars.append(bundle.scalar["g"])
     spread = max(scalars) - min(scalars)
@@ -166,14 +166,6 @@ def grw_identity_battery(seed: int = 0) -> CriterionResult:
 
 
 # -- 5 ---------------------------------------------------------------------
-
-_KIND_B = {0: lambda n: (n - 1) / 4.0,
-           4: lambda n: float(n - 1),
-           5: lambda n: (n - 1) / 2.0}
-_KIND_R = {0: lambda n: (n - 1) * (5 * n - 1) / 4.0,
-           4: lambda n: (n - 1) * (2 * n - 1.0),
-           5: lambda n: (n - 1) * (3 * n - 1) / 2.0}
-
 
 def _random_unit_timelike(rng: LCG, n: int):
     g = np.diag([-1.0] + [1.0] * (n - 1))
@@ -191,14 +183,15 @@ def einstein_kind_equivalences(seed: int = 0) -> CriterionResult:
     trials = 0
     for n in (4, 5):
         for theta in (0, 4, 5):
-            b = _KIND_B[theta](n)
+            _, b_of, r_of = KINDS[theta]
+            b = b_of(n)
             for _ in range(100):
                 trials += 1
                 g, pi = _random_unit_timelike(rng, n)
                 ric = (b + (n - 1)) * g + b * np.outer(pi, pi)
                 rep = quasi_einstein_equivalences(theta, RicciData(g, ric, pi),
                                                   tol)
-                kind_r = _KIND_R[theta](n)
+                kind_r = r_of(n)
                 worst = max(worst, rep.e_residual, rep.form_residual,
                             abs(rep.r - kind_r) / (1.0 + kind_r))
                 if not (rep.e_holds and rep.form_holds and rep.consistent

@@ -16,30 +16,10 @@ from concirc.classify import (
 )
 from concirc.connection import build_connection
 from concirc.curvature import curvature_family
-from concirc.geometry import MetricSpec, VectorFieldSpec
+from concirc.geometry import VectorFieldSpec
 
-COORDS4 = ("t", "x", "y", "z")
-
-
-def _diag_metric(coords, entries):
-    n = len(coords)
-    rows = [["0"] * n for _ in range(n)]
-    for i, e in enumerate(entries):
-        rows[i][i] = e
-    return MetricSpec.from_strings(coords, rows)
-
-
-DESITTER = _diag_metric(COORDS4, ["-1", "exp(2*t)", "exp(2*t)", "exp(2*t)"])
-MINKOWSKI = _diag_metric(COORDS4, ["-1", "1", "1", "1"])
-FLRW_LINEAR = _diag_metric(COORDS4, ["-1", "t^2", "t^2", "t^2"])
-
-P_TIME = VectorFieldSpec.from_strings(COORDS4, ["1", "0", "0", "0"])
-P_SPACE = VectorFieldSpec.from_strings(COORDS4, ["0", "1", "0", "0"])
-P_FLRW = VectorFieldSpec.from_strings(
-    COORDS4, ["t/(1 + (t^2)/2)", "0", "0", "0"])
-
-PT = np.array([0.3, 0.4, -0.2, 0.7])
-PT_FLRW = np.array([0.9, 0.1, -0.3, 0.25])
+from testkit import (DESITTER, FLRW_LINEAR, MINKOWSKI, P_FLRW, P_SPACE, P_TIME,
+                     PT, PT_FLRW, diag_metric)
 
 MINK_G = np.diag([-1.0, 1.0, 1.0, 1.0])
 UNIT_PI = np.array([-1.0, 0.0, 0.0, 0.0])
@@ -47,7 +27,7 @@ UNIT_PI = np.array([-1.0, 0.0, 0.0, 0.0])
 
 class TestVectorTaxonomy:
     def test_position_field_is_concurrent(self):
-        m = _diag_metric(("u", "v", "w"), ["1", "1", "1"])
+        m = diag_metric(("u", "v", "w"), ["1", "1", "1"])
         p = VectorFieldSpec.from_strings(("u", "v", "w"), ["u", "v", "w"])
         tax = classify_vector(m, p, np.array([0.4, -0.7, 1.1]))
         assert not tax.indeterminate
@@ -65,7 +45,7 @@ class TestVectorTaxonomy:
         assert not tax.killing
 
     def test_rotation_field_is_killing_but_not_torse_forming(self):
-        m = _diag_metric(("u", "v"), ["1", "1"])
+        m = diag_metric(("u", "v"), ["1", "1"])
         p = VectorFieldSpec.from_strings(("u", "v"), ["0 - v", "u"])
         tax = classify_vector(m, p, np.array([0.4, -0.7]))
         assert not tax.torse_forming
@@ -75,7 +55,7 @@ class TestVectorTaxonomy:
         assert tax.conformal_factor == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_field_is_indeterminate(self):
-        m = _diag_metric(("u", "v"), ["1", "1"])
+        m = diag_metric(("u", "v"), ["1", "1"])
         p = VectorFieldSpec.from_strings(("u", "v"), ["0", "0"])
         tax = classify_vector(m, p, np.array([0.4, -0.7]))
         assert tax.indeterminate

@@ -12,30 +12,9 @@ from concirc.curvature import (
     einstein_relations,
     nabla1_torsion,
 )
-from concirc.geometry import MetricSpec, VectorFieldSpec
 
-COORDS4 = ("t", "x", "y", "z")
-
-
-def _diag_metric(coords, entries):
-    n = len(coords)
-    rows = [["0"] * n for _ in range(n)]
-    for i, e in enumerate(entries):
-        rows[i][i] = e
-    return MetricSpec.from_strings(coords, rows)
-
-
-DESITTER = _diag_metric(COORDS4, ["-1", "exp(2*t)", "exp(2*t)", "exp(2*t)"])
-MINKOWSKI = _diag_metric(COORDS4, ["-1", "1", "1", "1"])
-FLRW_LINEAR = _diag_metric(COORDS4, ["-1", "t^2", "t^2", "t^2"])
-
-P_TIME = VectorFieldSpec.from_strings(COORDS4, ["1", "0", "0", "0"])
-P_SPACE = VectorFieldSpec.from_strings(COORDS4, ["0", "1", "0", "0"])
-P_FLRW = VectorFieldSpec.from_strings(
-    COORDS4, ["t/(1 + (t^2)/2)", "0", "0", "0"])
-
-PT = np.array([0.3, 0.4, -0.2, 0.7])
-PT_FLRW = np.array([0.9, 0.1, -0.3, 0.25])
+from testkit import (DESITTER, FLRW_LINEAR, MINKOWSKI, P_FLRW, P_SPACE, P_TIME,
+                     PT, PT_FLRW)
 
 
 def _bundle(metric, vector, point):

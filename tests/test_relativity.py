@@ -5,7 +5,6 @@ import pytest
 
 from concirc.connection import build_connection
 from concirc.curvature import curvature_family
-from concirc.geometry import MetricSpec, VectorFieldSpec
 from concirc.relativity import (
     FluidParams,
     div_pi_pi,
@@ -15,25 +14,7 @@ from concirc.relativity import (
     stress_energy,
 )
 
-COORDS4 = ("t", "x", "y", "z")
-
-
-def _diag_metric(coords, entries):
-    n = len(coords)
-    rows = [["0"] * n for _ in range(n)]
-    for i, e in enumerate(entries):
-        rows[i][i] = e
-    return MetricSpec.from_strings(coords, rows)
-
-
-DESITTER = _diag_metric(COORDS4, ["-1", "exp(2*t)", "exp(2*t)", "exp(2*t)"])
-WARPED = _diag_metric(
-    COORDS4,
-    ["-1"] + ["exp(2*t) / (1 + (x^2 + y^2 + z^2)/4)^2"] * 3,
-)
-P_TIME = VectorFieldSpec.from_strings(COORDS4, ["1", "0", "0", "0"])
-
-PT = np.array([0.3, 0.4, -0.2, 0.7])
+from testkit import COORDS4, DESITTER, P_TIME, PT, WARPED
 
 
 def _bundle(metric, point):

@@ -1,5 +1,7 @@
 """Record aggregation and the two output formats."""
 
+import math
+
 import pytest
 
 from concirc.report import Report, fmt_float, fmt_value
@@ -56,6 +58,21 @@ class TestAggregation:
         rep.aggregate()
         agg = {v.name: v for v in rep.verdicts if v.point == -1}
         assert agg["kind"].value == "same"
+
+    @pytest.mark.parametrize("residuals", [(1e-16, math.nan),
+                                           (math.nan, 1e-16)])
+    def test_nan_residual_makes_the_aggregate_nan_and_fail(self, residuals):
+        rep = Report(tol=1e-8)
+        for idx, res in enumerate(residuals):
+            rep.add_point([float(idx)])
+            rep.check("alpha", idx, res)
+        rep.aggregate()
+        agg = rep.checks[-1]
+        assert agg.point == -1
+        assert math.isnan(agg.residual)
+        assert not agg.passed
+        assert "CHECK alpha point=-1 residual=nan status=FAIL" in \
+            rep.render("machine").splitlines()
 
     def test_ok_requires_every_check_to_pass(self):
         rep = _sample_report()
