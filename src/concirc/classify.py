@@ -21,6 +21,7 @@ single tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -171,8 +172,9 @@ class RicciData:
     def n(self) -> int:
         return self.g.shape[0]
 
-    @property
+    @cached_property
     def ginv(self) -> np.ndarray:
+        """g^-1, symmetrised as in geometry.frame_at; inverted once."""
         inv = np.linalg.inv(self.g)
         return 0.5 * (inv + inv.T)
 
@@ -185,9 +187,12 @@ class RicciData:
         return float(self.pi @ self.ginv @ self.pi)
 
     @staticmethod
-    def from_bundle(bundle: CurvatureBundle) -> "RicciData":
+    def from_bundle(bundle: CurvatureBundle, theta="g") -> "RicciData":
+        """Family ``theta``'s data, reusing the frame's g^-1 (same bits)."""
         c = bundle.connection
-        return RicciData(c.frame.g, bundle.ricci["g"], c.pi)
+        d = RicciData(c.frame.g, bundle.ricci[theta], c.pi)
+        d.__dict__["ginv"] = c.frame.ginv      # fills the cached_property
+        return d
 
 
 @dataclass(frozen=True)
@@ -383,8 +388,8 @@ def perfect_fluid_kind(bundle: CurvatureBundle,
     n = c.n
     fits = {}
     for t in ("g", 0, 1, 2, 3, 4, 5):
-        d = RicciData(c.frame.g, bundle.ricci[t], c.pi)
-        fits[t] = classify_quasi_einstein(d, tol)
+        fits[t] = classify_quasi_einstein(RicciData.from_bundle(bundle, t),
+                                          tol)
     fg = fits["g"]
     amb = fg.a - fg.b
     r = bundle.scalar["g"]

@@ -133,7 +133,7 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    sys.stdout.write(report.render(setup.fmt))
+    report.render(setup.fmt, sys.stdout)
     return 0 if report.ok else 1
 
 

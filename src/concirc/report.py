@@ -17,6 +17,11 @@ Aggregate records use point=-1 (worst residual over all points for checks,
 NaN if any point's residual is NaN; the common value or "mixed" for
 verdicts).  Floats are formatted with repr
 so they round-trip through float() exactly.
+
+Both renderers write to a stream: ``Report.render(fmt, stream)`` hands each
+line to ``stream.write`` as soon as it is formatted, so rendering holds no
+more than one line beyond the records themselves.  The CLI passes
+``sys.stdout``; callers that want the text pass an ``io.StringIO``.
 """
 
 from __future__ import annotations
@@ -90,30 +95,38 @@ class Report:
 
     # -- aggregation ------------------------------------------------------
 
-    def _ordered_names(self, records) -> list:
-        names = []
-        for rec in records:
-            if rec.point >= 0 and rec.name not in names:
-                names.append(rec.name)
-        return names
-
     def aggregate(self):
-        """Append the point=-1 summary rows (idempotent per run)."""
-        for name in self._ordered_names(self.checks):
-            rows = [c for c in self.checks if c.name == name and c.point >= 0]
-            # max() over a list holding NaN depends on where the NaN sits
-            if any(math.isnan(c.residual) for c in rows):
-                worst = math.nan
-            else:
-                worst = max(c.residual for c in rows)
-            self.checks.append(CheckRecord(name, -1, worst,
-                                           all(c.passed for c in rows)))
-        for name in self._ordered_names(self.verdicts):
-            rows = [v for v in self.verdicts
-                    if v.name == name and v.point >= 0]
-            values = {fmt_value(v.value) for v in rows}
-            common = rows[0].value if len(values) == 1 else "mixed"
-            self.verdicts.append(VerdictRecord(name, -1, common))
+        """Append the point=-1 summary rows; call once, after the last point.
+
+        One pass over the records.  Names keep their first-appearance order.
+        A check's worst residual is NaN once any point's residual is NaN;
+        otherwise the first maximum wins, as with max().
+        """
+        checks: dict[str, list] = {}      # name -> [worst, every point passed]
+        for c in self.checks:
+            if c.point < 0:
+                continue
+            acc = checks.get(c.name)
+            if acc is None:
+                checks[c.name] = [c.residual, c.passed]
+                continue
+            if math.isnan(c.residual) or c.residual > acc[0]:
+                acc[0] = c.residual       # '>' is False once acc[0] is NaN
+            acc[1] = acc[1] and c.passed
+        verdicts: dict[str, list] = {}    # name -> [first value, its token, mixed]
+        for v in self.verdicts:
+            if v.point < 0:
+                continue
+            acc = verdicts.get(v.name)
+            if acc is None:
+                verdicts[v.name] = [v.value, fmt_value(v.value), False]
+            elif not acc[2] and fmt_value(v.value) != acc[1]:
+                acc[2] = True
+        for name, (worst, passed) in checks.items():
+            self.checks.append(CheckRecord(name, -1, worst, passed))
+        for name, (first, _, mixed) in verdicts.items():
+            self.verdicts.append(
+                VerdictRecord(name, -1, "mixed" if mixed else first))
 
     @property
     def ok(self) -> bool:
@@ -121,43 +134,47 @@ class Report:
 
     # -- rendering --------------------------------------------------------
 
-    def render(self, fmt: str) -> str:
+    def render(self, fmt: str, stream) -> None:
+        """Write the report to ``stream`` (anything with ``write``) line by
+        line, as each line is formatted; nothing is joined or returned."""
         if fmt == "machine":
-            return self.render_machine()
-        if fmt == "text":
-            return self.render_text()
-        raise ValueError("unknown format %r" % fmt)
+            self._machine(stream.write)
+        elif fmt == "text":
+            self._text(stream.write)
+        else:
+            raise ValueError("unknown format %r" % fmt)
 
-    def render_machine(self) -> str:
-        lines = [c.machine() for c in self.checks]
-        lines += [v.machine() for v in self.verdicts]
-        return "\n".join(lines) + "\n"
+    def _machine(self, write):
+        if not self.checks and not self.verdicts:
+            write("\n")                   # an empty report is one blank line
+            return
+        for c in self.checks:
+            write(c.machine() + "\n")
+        for v in self.verdicts:
+            write(v.machine() + "\n")
 
-    def render_text(self) -> str:
-        lines = list(self.preamble)
+    def _text(self, write):
+        for line in self.preamble:
+            write(line + "\n")
         for idx, pt in enumerate(self.points):
-            lines.append("")
-            lines.append("point %d: %s" % (
+            write("\npoint %d: %s\n" % (
                 idx, " ".join(fmt_float(x) for x in pt)))
             for c in self.checks:
                 if c.point == idx:
-                    lines.append("  [%s] %-34s residual %.3e"
-                                 % ("PASS" if c.passed else "FAIL",
-                                    c.name, c.residual))
+                    write("  [%s] %-34s residual %.3e\n"
+                          % ("PASS" if c.passed else "FAIL",
+                             c.name, c.residual))
             for v in self.verdicts:
                 if v.point == idx:
-                    lines.append("  %-41s = %s" % (v.name, fmt_value(v.value)))
-        lines.append("")
-        lines.append("summary over %d point(s), tolerance %s:"
-                     % (len(self.points), fmt_float(self.tol)))
+                    write("  %-41s = %s\n" % (v.name, fmt_value(v.value)))
+        write("\nsummary over %d point(s), tolerance %s:\n"
+              % (len(self.points), fmt_float(self.tol)))
         for c in self.checks:
             if c.point == -1:
-                lines.append("  [%s] %-34s worst residual %.3e"
-                             % ("PASS" if c.passed else "FAIL",
-                                c.name, c.residual))
+                write("  [%s] %-34s worst residual %.3e\n"
+                      % ("PASS" if c.passed else "FAIL",
+                         c.name, c.residual))
         for v in self.verdicts:
             if v.point == -1:
-                lines.append("  %-41s = %s" % (v.name, fmt_value(v.value)))
-        lines.append("")
-        lines.append("result: %s" % ("PASS" if self.ok else "FAIL"))
-        return "\n".join(lines) + "\n"
+                write("  %-41s = %s\n" % (v.name, fmt_value(v.value)))
+        write("\nresult: %s\n" % ("PASS" if self.ok else "FAIL"))

@@ -129,6 +129,37 @@ class TestQuasiEinsteinFit:
         assert fit.residual > 1e-2
 
 
+class TestRicciDataInverse:
+    @staticmethod
+    def _count_inversions(monkeypatch):
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda a: calls.append(1) or inv(a))
+        return calls
+
+    def test_g_is_inverted_once_per_instance(self, monkeypatch):
+        calls = self._count_inversions(monkeypatch)
+        d = RicciData(MINK_G, 3.0 * MINK_G + np.outer(UNIT_PI, UNIT_PI),
+                      UNIT_PI)
+        classify_quasi_einstein(d)
+        for theta in (0, 4, 5):
+            einstein_type(theta, d)
+            quasi_einstein_equivalences(theta, d)
+        assert d.r == pytest.approx(11.0) and d.pi_P == pytest.approx(-1.0)
+        assert len(calls) == 1
+
+    def test_bundle_data_reuse_the_frame_inverse(self, monkeypatch):
+        bundle = curvature_family(build_connection(DESITTER, P_TIME, PT))
+        fresh = RicciData(bundle.frame.g, bundle.ricci["g"],
+                          bundle.connection.pi)
+        assert np.array_equal(RicciData.from_bundle(bundle).ginv, fresh.ginv)
+        calls = self._count_inversions(monkeypatch)
+        perfect_fluid_kind(bundle)
+        classify_quasi_einstein(RicciData.from_bundle(bundle))
+        assert calls == []
+
+
 class TestEinsteinType:
     # Coefficient that makes the family-theta traceless tensor vanish for
     # Ric = (b + n - 1) g + b pi x pi with a unit timelike form, n = 4.

@@ -1,10 +1,14 @@
 """Command-line surface: exit codes, output grammar, determinism."""
 
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
 from concirc.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MACHINE_LINE = re.compile(
     r"^(CHECK [A-Za-z0-9_]+ point=-?\d+ residual=[^ ]+ status=(PASS|FAIL)"
@@ -155,3 +159,24 @@ class TestSelftestSubcommand:
         _, first, _ = _run(argv, capsys)
         _, second, _ = _run(argv, capsys)
         assert first == second
+
+
+class _Writes(list):
+    """Stands in for stdout and keeps each write as one item."""
+
+    write = list.append
+
+    def flush(self):
+        pass
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_no_write_exceeds_4kb(self, monkeypatch, fmt):
+        sink = _Writes()
+        monkeypatch.setattr(sys, "stdout", sink)
+        code = main(["analyze", str(ROOT / "perfbench" / "generic.cfg"),
+                     "--points", "64", "--format", fmt])
+        assert code == 0
+        assert len(sink) > 64 * 42
+        assert max(len(w) for w in sink) <= 4096
