@@ -31,14 +31,11 @@ def main() -> int:
 
     case = build_case(args.name)
     point = np.array([0.5 * (lo + hi) for lo, hi in case.bounds])
-    for slot, value in case.avoid:
-        if abs(point[slot] - value) < 1e-9:
-            point[slot] += 0.25 * (case.bounds[slot][1] - point[slot])
     bundle = curvature_family(
         build_connection(case.metric, case.vector, point))
 
     grid = np.linspace(args.lo, args.hi, args.steps)
-    print("case %s at %s" % (case.name, " ".join("%g" % x for x in point)))
+    print("case %s at %s" % (args.name, " ".join("%g" % x for x in point)))
     print("cells: regime mark (%s), then |div tau|"
           % ", ".join("%s=%s" % (v, k) for k, v in MARK.items()))
     header = "sigma\\p " + " ".join("%8.2f" % p for p in grid)

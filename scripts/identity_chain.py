@@ -36,15 +36,12 @@ def main() -> int:
     case = build_case(args.name)
     if args.point is None:
         point = np.array([0.5 * (lo + hi) for lo, hi in case.bounds])
-        for slot, value in case.avoid:
-            if abs(point[slot] - value) < 1e-9:
-                point[slot] += 0.25 * (case.bounds[slot][1] - point[slot])
     else:
         if len(args.point) != len(case.coords):
             ap.error("--point needs %d values" % len(case.coords))
         point = np.array(args.point)
 
-    print("case   : %s — %s" % (case.name, case.description))
+    print("case   : %s — %s" % (args.name, case.description))
     print("point  : %s" % " ".join("%g" % x for x in point))
 
     c = build_connection(case.metric, case.vector, point)

@@ -53,6 +53,9 @@ class AnalysisError(ValueError):
 
 def gather_points(setup: AnalysisSetup):
     """Explicit points first, then valid samples; skips singular draws."""
+    if not setup.explicit_points and setup.n_points == 0:
+        raise AnalysisError("no point to evaluate: points is 0 and no "
+                            "explicit point is given")
     points = []
     for pt in setup.explicit_points:
         try:
@@ -80,12 +83,12 @@ def gather_points(setup: AnalysisSetup):
     return points, skipped
 
 
-def run_analysis(setup: AnalysisSetup, description: str | None = None) -> Report:
+def run_analysis(setup: AnalysisSetup) -> Report:
     rep = Report(setup.tol)
     points, skipped = gather_points(setup)
     rep.preamble.append("coordinates: %s" % " ".join(setup.coords))
-    if description:
-        rep.preamble.append("case: %s" % description)
+    if setup.description:
+        rep.preamble.append("case: %s" % setup.description)
     rep.preamble.append(
         "points: %d explicit + %d sampled (seed %d%s)"
         % (len(setup.explicit_points), setup.n_points, setup.seed,

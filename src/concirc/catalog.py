@@ -22,12 +22,14 @@ catalog doubles as a living regression corpus:
 * ``grw`` — fully parameterised warped product: --param f=... (function of t
   only) and --param base_<i>_<j>=... (spatial coordinates only) assemble
   g = -dt^2 + f(t)^2 h.
+
+``build_case`` returns the same ``config.AnalysisSetup`` a config file
+gives, with the config defaults for everything a case does not set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .config import AnalysisSetup
 from .expr import ExprError, parse
 from .geometry import MetricSpec, VectorFieldSpec
 from .relativity import FluidParams
@@ -36,38 +38,24 @@ _SPATIAL = ("x", "y", "z")
 _COORDS = ("t", "x", "y", "z")
 
 
-@dataclass(frozen=True)
-class BuiltinCase:
-    """A ready-to-analyse configuration with documented expectations."""
-
-    name: str
-    description: str
-    coords: tuple
-    metric: MetricSpec
-    vector: VectorFieldSpec
-    bounds: tuple                  # ((lo, hi), ...) aligned with coords
-    avoid: tuple = ()              # ((coord index, value), ...)
-    fluid: FluidParams | None = None
-
-
 class CatalogError(ValueError):
     pass
+
+
+def _case(description, rows, vector, bounds, **rest) -> AnalysisSetup:
+    return AnalysisSetup(_COORDS, MetricSpec.from_strings(_COORDS, rows),
+                         VectorFieldSpec.from_strings(_COORDS, vector),
+                         bounds, description=description, **rest)
 
 
 def _case_minkowski(params):
     _no_params("minkowski", params)
     rows = [["-1", "0", "0", "0"], ["0", "1", "0", "0"],
             ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
-    return BuiltinCase(
-        name="minkowski",
-        description="flat spacetime, spacelike generator P = d_x "
-                    "(parallel but not concircular)",
-        coords=_COORDS,
-        metric=MetricSpec.from_strings(_COORDS, rows),
-        vector=VectorFieldSpec.from_strings(_COORDS, ["0", "1", "0", "0"]),
-        bounds=((-1.0, 1.0),) * 4,
-        fluid=FluidParams.from_strings(_COORDS),
-    )
+    return _case("flat spacetime, spacelike generator P = d_x "
+                 "(parallel but not concircular)",
+                 rows, ["0", "1", "0", "0"], ((-1.0, 1.0),) * 4,
+                 fluid=FluidParams.from_strings(_COORDS))
 
 
 def _case_desitter(params):
@@ -76,16 +64,11 @@ def _case_desitter(params):
             ["0", "exp(2*t)", "0", "0"],
             ["0", "0", "exp(2*t)", "0"],
             ["0", "0", "0", "exp(2*t)"]]
-    return BuiltinCase(
-        name="desitter-flat",
-        description="exponentially warped flat slices, P = d_t "
-                    "(GRW generator, omega = 1, vacuum with lam = 3)",
-        coords=_COORDS,
-        metric=MetricSpec.from_strings(_COORDS, rows),
-        vector=VectorFieldSpec.from_strings(_COORDS, ["1", "0", "0", "0"]),
-        bounds=((-0.5, 0.5), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
-        fluid=FluidParams.from_strings(_COORDS, "0", "0", lam=3.0),
-    )
+    return _case("exponentially warped flat slices, P = d_t "
+                 "(GRW generator, omega = 1, vacuum with lam = 3)",
+                 rows, ["1", "0", "0", "0"],
+                 ((-0.5, 0.5), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
+                 fluid=FluidParams.from_strings(_COORDS, "0", "0", lam=3.0))
 
 
 def _case_flrw(params):
@@ -95,17 +78,11 @@ def _case_flrw(params):
     f2 = "(%s)^2" % f
     rows = [["-1", "0", "0", "0"], ["0", f2, "0", "0"],
             ["0", "0", f2, "0"], ["0", "0", "0", f2]]
-    return BuiltinCase(
-        name="flrw",
-        description="spatially flat cosmology with warp f(t) = %s and the "
-                    "concircular generator P = (t/(1+t^2/2)) d_t" % f,
-        coords=_COORDS,
-        metric=MetricSpec.from_strings(_COORDS, rows),
-        vector=VectorFieldSpec.from_strings(
-            _COORDS, ["t/(1+(t^2)/2)", "0", "0", "0"]),
-        bounds=((0.2, 2.0), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
-        avoid=((0, 0.0),),
-    )
+    return _case("spatially flat cosmology with warp f(t) = %s and the "
+                 "concircular generator P = (t/(1+t^2/2)) d_t" % f,
+                 rows, ["t/(1+(t^2)/2)", "0", "0", "0"],
+                 ((0.2, 2.0), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
+                 avoid=((0, 0.0),))
 
 
 _CONF = "(1+(x^2+y^2+z^2)/4)^2"
@@ -116,18 +93,13 @@ def _case_grw_generic(params):
     d = "exp(2*t)/" + _CONF
     rows = [["-1", "0", "0", "0"], ["0", d, "0", "0"],
             ["0", "0", d, "0"], ["0", "0", "0", d]]
-    return BuiltinCase(
-        name="grw-generic",
-        description="warp e^t over a curved (unit curvature, conformally "
-                    "flat) base: scalar curvature 12 + 6 e^{-2t} varies "
-                    "while a - b stays 3",
-        coords=_COORDS,
-        metric=MetricSpec.from_strings(_COORDS, rows),
-        vector=VectorFieldSpec.from_strings(_COORDS, ["1", "0", "0", "0"]),
-        bounds=((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
-        fluid=FluidParams.from_strings(
-            _COORDS, "3+3*exp(-2*t)", "-3-exp(-2*t)"),
-    )
+    return _case("warp e^t over a curved (unit curvature, conformally "
+                 "flat) base: scalar curvature 12 + 6 e^{-2t} varies "
+                 "while a - b stays 3",
+                 rows, ["1", "0", "0", "0"],
+                 ((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
+                 fluid=FluidParams.from_strings(
+                     _COORDS, "3+3*exp(-2*t)", "-3-exp(-2*t)"))
 
 
 def _case_grw(params):
@@ -152,14 +124,9 @@ def _case_grw(params):
     rows = [["-1", "0", "0", "0"]]
     for i in range(3):
         rows.append(["0"] + ["%s*(%s)" % (f2, base[i][j]) for j in range(3)])
-    return BuiltinCase(
-        name="grw",
-        description="warped product -dt^2 + f(t)^2 h with f = %s" % f,
-        coords=_COORDS,
-        metric=MetricSpec.from_strings(_COORDS, rows),
-        vector=VectorFieldSpec.from_strings(_COORDS, ["1", "0", "0", "0"]),
-        bounds=((-0.5, 0.5), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
-    )
+    return _case("warped product -dt^2 + f(t)^2 h with f = %s" % f,
+                 rows, ["1", "0", "0", "0"],
+                 ((-0.5, 0.5), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)))
 
 
 _BUILDERS = {
@@ -173,7 +140,7 @@ _BUILDERS = {
 BUILTIN_NAMES = tuple(sorted(_BUILDERS))
 
 
-def build_case(name: str, params: dict | None = None) -> BuiltinCase:
+def build_case(name: str, params: dict | None = None) -> AnalysisSetup:
     if name not in _BUILDERS:
         raise CatalogError("unknown builtin %r; available: %s"
                            % (name, ", ".join(BUILTIN_NAMES)))

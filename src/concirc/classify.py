@@ -13,9 +13,11 @@ Three layers:
   plus the identity battery that structure implies (eigenvalue chain,
   parallel torsion, specialised Ricci forms, perfect-fluid coefficients).
 
-All residuals follow the package policy (geometry.residual): max-norm over
-components divided by (1 + max |g_ij|) at the point, compared against a
-single tolerance.
+Tensor residuals follow the package policy (geometry.residual): max-norm
+over components divided by (1 + max |g_ij|) at the point, compared against a
+single tolerance.  Scalar invariants (omega, pi(P), eta(P), the conformal
+factor, r) are compared with geometry.close, whose threshold does not
+depend on the size of g.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .connection import SSConnection, build_connection, check_concircular
 from .curvature import (THETAS, CurvatureBundle, einstein_closed_form,
                         nabla1_torsion)
 from .fdcheck import fd_jacobian
-from .geometry import MetricSpec, VectorFieldSpec, normaliser, residual
+from .geometry import MetricSpec, VectorFieldSpec, close, residual
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +90,10 @@ def classify_vector(m: MetricSpec, p: VectorFieldSpec, point,
                     conn: SSConnection | None = None) -> VectorTaxonomy:
     c = conn if conn is not None else build_connection(m, p, point)
     f = c.frame
-    sc = normaliser(f.g)
-    if float(np.max(np.abs(c.P))) <= tol * sc:
+    # vanishing P: sqrt(P^T |g| P) with |g| = V |Lambda| V^T, a length that
+    # does not depend on the chart's scale or signature
+    lam, V = np.linalg.eigh(f.g)
+    if np.sqrt(np.abs(lam) @ (V.T @ c.P) ** 2) <= tol:
         return VectorTaxonomy(indeterminate=True)
 
     M = c.nabla_P()  # [k, i]
@@ -98,8 +102,8 @@ def classify_vector(m: MetricSpec, p: VectorFieldSpec, point,
     torse = fit_res <= tol
 
     eta_small = residual(eta, f.g) <= tol
-    w_zero = abs(w) / sc <= tol
-    w_one = abs(w - 1.0) / sc <= tol
+    w_zero = close(w, 0.0, tol)
+    w_one = close(w, 1.0, tol)
     eta_P = float(eta @ c.P)
 
     deta_res = None
@@ -116,8 +120,8 @@ def classify_vector(m: MetricSpec, p: VectorFieldSpec, point,
     geodesic = residual(np.einsum("ki,i->k", M, c.P), f.g) <= tol
 
     pi_P = c.pi_P
-    timelike = abs(pi_P + 1.0) / sc <= tol
-    spacelike = abs(pi_P - 1.0) / sc <= tol
+    timelike = close(pi_P, -1.0, tol)
+    spacelike = close(pi_P, 1.0, tol)
     unit_form = None
     if timelike or spacelike:
         eps = 1.0 if spacelike else -1.0
@@ -136,7 +140,7 @@ def classify_vector(m: MetricSpec, p: VectorFieldSpec, point,
         eta_hat=eta,
         fit_residual=fit_res,
         torse_forming=torse,
-        torqued=torse and abs(eta_P) / sc <= tol,
+        torqued=torse and close(eta_P, 0.0, tol),
         concircular_fialkow=torse and eta_small,
         concircular_yano=yano,
         deta_residual=deta_res,
@@ -151,7 +155,7 @@ def classify_vector(m: MetricSpec, p: VectorFieldSpec, point,
         unit_form_residual=unit_form,
         conformal_killing=conformal,
         conformal_factor=factor,
-        killing=conformal and abs(factor) / sc <= tol,
+        killing=conformal and close(factor, 0.0, tol),
     )
 
 
@@ -294,9 +298,9 @@ def quasi_einstein_equivalences(theta: int, d: RicciData,
 
     kind_r = None
     kind_match = None
-    if abs(pP + 1.0) <= tol * normaliser(d.g):
+    if close(pP, -1.0, tol):
         kind_r = r_of(n)
-        kind_match = abs(r - kind_r) <= tol * (1.0 + abs(kind_r))
+        kind_match = close(r, kind_r, tol)
     return EquivalenceReport(theta, e_res, form_res, e_holds, form_holds,
                              e_holds == form_holds, kind_r, r,
                              kind_match if form_holds else None)
@@ -321,14 +325,14 @@ class GRWReport:
 def grw_detect(c: SSConnection, tol: float = 1e-8) -> GRWReport:
     f = c.frame
     lorentzian = f.lorentzian
-    unit = abs(c.pi_P + 1.0) / normaliser(f.g) <= tol
+    unit = close(c.pi_P, -1.0, tol)
     gen_res = residual(c.nabla_P() - np.eye(c.n) - np.outer(c.P, c.pi), f.g)
     passes = lorentzian and unit and gen_res <= tol
     if not passes:
         return GRWReport(lorentzian, unit, gen_res, False, c.omega,
                          None, None)
     return GRWReport(lorentzian, unit, gen_res, True, c.omega,
-                     abs(c.omega - 1.0) <= tol,
+                     close(c.omega, 1.0, tol),
                      residual(c.nabla1_P(), f.g))
 
 
@@ -396,7 +400,7 @@ def perfect_fluid_kind(bundle: CurvatureBundle,
     rewrite = max(abs(fg.a - (r / (n - 1.0) - 1.0)),
                   abs(fg.b - (r / (n - 1.0) - n)))
     return FluidKindReport(fits, amb,
-                           abs(amb - (n - 1.0)) <= tol * n,
+                           close(amb, n - 1.0, tol),
                            rewrite / (1.0 + abs(r)))
 
 

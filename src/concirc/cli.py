@@ -5,36 +5,32 @@
     concirc selftest                    run the acceptance battery
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 the input
-could not be used (config syntax, unknown builtin, bad parameter, metric
-singular everywhere, ...).
+could not be used (config syntax, unknown builtin, bad parameter or
+override, no point to evaluate, metric singular everywhere, ...).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
-from .analysis import AnalysisError, run_analysis
-from .catalog import BUILTIN_NAMES, CatalogError, build_case
-from .config import AnalysisSetup, ConfigError, load_config
-from .expr import ExprError, to_string
-from .relativity import FluidParams
+from .analysis import run_analysis
+from .catalog import BUILTIN_NAMES, build_case
+from .config import apply_overrides, load_config
 
-_USAGE_ERRORS = (ConfigError, CatalogError, AnalysisError, ExprError,
-                 OSError, ValueError)
+# ConfigError, CatalogError, AnalysisError and ExprError are ValueErrors
+_USAGE_ERRORS = (OSError, ValueError)
 
 
-def _add_common(sub, sampling=True):
+def _add_common(sub):
     sub.add_argument("--format", choices=("text", "machine"), default=None,
                      help="output format (default: text, or the config value)")
     sub.add_argument("--tol", type=float, default=None,
                      help="residual tolerance (default 1e-8)")
-    if sampling:
-        sub.add_argument("--seed", type=int, default=None,
-                         help="sampling seed (default 0)")
-        sub.add_argument("--points", type=int, default=None,
-                         help="number of sampled points (default 16)")
+    sub.add_argument("--seed", type=int, default=None,
+                     help="sampling seed (default 0)")
+    sub.add_argument("--points", type=int, default=None,
+                     help="number of sampled points (default 16)")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -76,42 +72,6 @@ def _pairs(items, flag):
     return out
 
 
-def _fluid_from_cli(case, overrides) -> FluidParams | None:
-    if not overrides:
-        return case.fluid
-    if "p" in overrides and "rho" in overrides:
-        raise ValueError("--fluid: give either p or its alias rho, not both")
-    if "rho" in overrides:
-        overrides["p"] = overrides.pop("rho")
-    unknown = set(overrides) - {"sigma", "p", "lambda", "k"}
-    if unknown:
-        raise ValueError("--fluid: unknown key(s) %s" % ", ".join(sorted(unknown)))
-    base = case.fluid
-    sigma = overrides.get("sigma",
-                          to_string(base.sigma) if base else "0")
-    p = overrides.get("p", to_string(base.p) if base else "0")
-    lam = float(overrides.get("lambda", base.lam if base else 0.0))
-    k = float(overrides.get("k", base.k if base else 1.0))
-    return FluidParams.from_strings(case.coords, sigma, p, lam, k)
-
-
-def _apply_overrides(setup: AnalysisSetup, args) -> AnalysisSetup:
-    updates = {}
-    if args.tol is not None:
-        if args.tol <= 0:
-            raise ValueError("--tol must be positive")
-        updates["tol"] = args.tol
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.points is not None:
-        if args.points < 0:
-            raise ValueError("--points must be >= 0")
-        updates["n_points"] = args.points
-    if args.format is not None:
-        updates["fmt"] = args.format
-    return dataclasses.replace(setup, **updates) if updates else setup
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -120,16 +80,15 @@ def main(argv=None) -> int:
             return run_selftest(seed=args.seed, fmt=args.format,
                                 stream=sys.stdout)
         if args.command == "analyze":
-            setup = _apply_overrides(load_config(args.config), args)
-            report = run_analysis(setup)
+            setup = load_config(args.config)
+            fluid = {}
         else:
-            case = build_case(args.name, _pairs(args.param, "--param"))
-            fluid = _fluid_from_cli(case, _pairs(args.fluid, "--fluid"))
-            setup = _apply_overrides(AnalysisSetup(
-                coords=case.coords, metric=case.metric, vector=case.vector,
-                bounds=case.bounds, explicit_points=(), avoid=case.avoid,
-                fluid=fluid), args)
-            report = run_analysis(setup, description=case.description)
+            setup = build_case(args.name, _pairs(args.param, "--param"))
+            fluid = _pairs(args.fluid, "--fluid")
+        setup = apply_overrides(setup, tol=args.tol, seed=args.seed,
+                                points=args.points, fmt=args.format,
+                                fluid=fluid)
+        report = run_analysis(setup)
     except _USAGE_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

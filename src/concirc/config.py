@@ -36,16 +36,19 @@ error that names the offending line, because silently ignoring a typo like
 
     [report]
     format = text                 # or machine
+
+``apply_overrides`` puts command-line values over a setup under the same
+rules, naming the flag where a config error names the line.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expr import ExprError, parse
+from .expr import Expr, ExprError, parse
 from .geometry import MetricSpec, VectorFieldSpec
 from .relativity import FluidParams
 
@@ -55,19 +58,25 @@ _SECTIONS = ("manifold", "metric", "vector_field", "sampling", "fluid",
 
 
 class ConfigError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__("line %d: %s" % (line, message)
-                         if line is not None else message)
+    """``where`` is the line number in a config file, or a command-line flag."""
+
+    def __init__(self, message: str, where: int | str | None = None):
+        self.line = where if isinstance(where, int) else None
+        if where is not None:
+            message = "%s: %s" % (where if self.line is None
+                                  else "line %d" % where, message)
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
 class AnalysisSetup:
+    """Everything one run needs, from a config file or a builtin."""
+
     coords: tuple
     metric: MetricSpec
     vector: VectorFieldSpec
     bounds: tuple
-    explicit_points: tuple         # tuple of ndarray
+    explicit_points: tuple = ()    # tuple of ndarray
     n_points: int = 16
     seed: int = 0
     avoid: tuple = ()
@@ -75,6 +84,27 @@ class AnalysisSetup:
     fluid: FluidParams | None = None
     tol: float = 1e-8
     fmt: str = "text"
+    description: str | None = None  # a builtin's summary; no config key
+
+
+def apply_overrides(setup: AnalysisSetup, tol=None, seed=None, points=None,
+                    fmt=None, fluid=None) -> AnalysisSetup:
+    """``None`` keeps the setup's value; ``fluid`` maps [fluid] keys to text."""
+    updates = {}
+    if tol is not None:
+        updates["tol"] = _positive(tol, "tol", "--tol")
+    if seed is not None:
+        updates["seed"] = seed
+    if points is not None:
+        updates["n_points"] = _count(points, "--points")
+    if fmt is not None:
+        updates["fmt"] = fmt
+    if fluid:
+        updates["fluid"] = _fluid_over(
+            setup.fluid, setup.coords,
+            [(key, value, "--fluid") for key, value in fluid.items()],
+            quoted=False)
+    return replace(setup, **updates)
 
 
 def load_config(path: str) -> AnalysisSetup:
@@ -88,7 +118,8 @@ def parse_config(text: str) -> AnalysisSetup:
     metric = _metric(entries, coords)
     vector = _vector(entries, coords)
     sampling = _sampling(entries, coords)
-    fluid = _fluid(entries, coords)
+    rows = _take(entries, "fluid")
+    fluid = _fluid_over(None, coords, rows, quoted=True) if rows else None
     tol = _tolerances(entries)
     fmt = _report(entries)
     return AnalysisSetup(coords, metric, vector, fluid=fluid, tol=tol,
@@ -148,11 +179,15 @@ def _quoted(value: str, key: str, lineno: int, coords=None) -> str:
     if '"' in inner:
         raise ConfigError("stray quote inside %s" % key, lineno)
     if coords is not None:
-        try:
-            parse(inner, coords)
-        except ExprError as exc:
-            raise ConfigError("in %s: %s" % (key, exc), lineno) from exc
+        _expression(inner, key, lineno, coords)
     return inner
+
+
+def _expression(text: str, key: str, where, coords) -> Expr:
+    try:
+        return parse(text, coords)
+    except ExprError as exc:
+        raise ConfigError("in %s: %s" % (key, exc), where) from exc
 
 
 def _number(value: str, key: str, lineno: int) -> float:
@@ -169,6 +204,18 @@ def _integer(value: str, key: str, lineno: int) -> int:
     except ValueError:
         raise ConfigError("%s expects an integer, got %r" % (key, value),
                           lineno) from None
+
+
+def _positive(value: float, key: str, where) -> float:
+    if value <= 0:
+        raise ConfigError("%s must be positive" % key, where)
+    return value
+
+
+def _count(value: int, where) -> int:
+    if value < 0:
+        raise ConfigError("points must be >= 0", where)
+    return value
 
 
 def _manifold(entries) -> tuple:
@@ -241,15 +288,12 @@ def _sampling(entries, coords) -> dict:
     points = []
     for key, value, lineno in _take(entries, "sampling"):
         if key == "points":
-            out["n_points"] = _integer(value, key, lineno)
-            if out["n_points"] < 0:
-                raise ConfigError("points must be >= 0", lineno)
+            out["n_points"] = _count(_integer(value, key, lineno), lineno)
         elif key == "seed":
             out["seed"] = _integer(value, key, lineno)
         elif key == "margin":
-            out["margin"] = _number(value, key, lineno)
-            if out["margin"] <= 0:
-                raise ConfigError("margin must be positive", lineno)
+            out["margin"] = _positive(_number(value, key, lineno), key,
+                                      lineno)
         elif key == "point":
             vals = [_number(v, key, lineno) for v in value.split()]
             if len(vals) != n:
@@ -282,31 +326,32 @@ def _sampling(entries, coords) -> dict:
     return out
 
 
-def _fluid(entries, coords) -> FluidParams | None:
-    rows = _take(entries, "fluid")
-    if not rows:
-        return None
-    sigma, p = "0", None
-    lam, k = 0.0, 1.0
-    for key, value, lineno in rows:
-        if key == "sigma":
-            sigma = _quoted(value, key, lineno, coords)
-        elif key in ("p", "rho"):
-            if p is not None:
-                raise ConfigError(
-                    "pressure given twice (p and its alias rho)", lineno)
-            p = _quoted(value, key, lineno, coords)
-        elif key == "lambda":
-            lam = _number(value, key, lineno)
-        elif key == "k":
-            k = _number(value, key, lineno)
+_FLUID_FIELDS = {"sigma": "sigma", "p": "p", "rho": "p", "lambda": "lam",
+                 "k": "k"}
+
+
+def _fluid_over(base: FluidParams | None, coords, rows,
+                quoted: bool) -> FluidParams:
+    """The [fluid] rule, for config rows and --fluid alike.
+
+    ``rows`` are (key, value, where); sigma and p are expressions (double-
+    quoted in a config file), lambda and k numbers.  A field no row sets
+    keeps ``base``'s value, or sigma = p = 0, lambda = 0, k = 1.
+    """
+    fields = {}
+    for key, value, where in rows:
+        name = _FLUID_FIELDS.get(key)
+        if name is None:
+            raise ConfigError("unknown key %r in [fluid]" % key, where)
+        if name in fields:
+            raise ConfigError("pressure given twice (p and its alias rho)",
+                              where)
+        if name in ("sigma", "p"):
+            text = _quoted(value, key, where) if quoted else value
+            fields[name] = _expression(text, key, where, coords)
         else:
-            raise ConfigError("unknown key %r in [fluid]" % key, lineno)
-    try:
-        return FluidParams.from_strings(coords, sigma, p if p is not None
-                                        else "0", lam, k)
-    except ExprError as exc:
-        raise ConfigError("in a fluid expression: %s" % exc) from exc
+            fields[name] = _number(value, key, where)
+    return replace(base or FluidParams.from_strings(coords), **fields)
 
 
 def _tolerances(entries) -> float:
@@ -314,9 +359,7 @@ def _tolerances(entries) -> float:
     for key, value, lineno in _take(entries, "tolerances"):
         if key != "tol":
             raise ConfigError("unknown key %r in [tolerances]" % key, lineno)
-        tol = _number(value, key, lineno)
-        if tol <= 0:
-            raise ConfigError("tol must be positive", lineno)
+        tol = _positive(_number(value, key, lineno), key, lineno)
     return tol
 
 

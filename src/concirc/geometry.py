@@ -200,11 +200,14 @@ def ricci_from_riemann(riem: np.ndarray) -> np.ndarray:
     return np.einsum("cbca->ab", riem)
 
 
-def normaliser(g: np.ndarray) -> float:
-    """The residual normaliser 1 + max |g_ij| of the package policy."""
-    return 1.0 + float(np.max(np.abs(g)))
-
-
 def residual(arr, g: np.ndarray) -> float:
-    """Max-norm of arr normalised by (1 + max |g_ij|) for the metric g."""
-    return float(np.max(np.abs(arr))) / normaliser(g)
+    """Tensor residual rule: max |arr| / (1 + max |g_ij|) for the metric g."""
+    return float(np.max(np.abs(arr))) / (1.0 + float(np.max(np.abs(g))))
+
+
+def close(x: float, target: float, tol: float) -> bool:
+    """Scalar verdict rule: |x - target| <= tol (1 + |target|).
+
+    Scalar invariants do not scale with g, so neither does the threshold.
+    """
+    return abs(x - target) <= tol * (1.0 + abs(target))

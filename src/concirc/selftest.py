@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .catalog import build_case
 from .classify import (KINDS, RicciData, classify_quasi_einstein,
                        einstein_type, grw_detect, grw_identity_suite,
                        perfect_fluid_kind, quasi_einstein_equivalences)
-from .config import AnalysisSetup
 from .connection import (build_connection, check_concircular, nabla1_P,
                          s_concircular_check)
 from .curvature import (closed_form_ricci, closed_form_scalar,
@@ -308,12 +307,7 @@ def concircular_condition_equivalence(seed: int = 0) -> CriterionResult:
 def determinism(seed: int = 0) -> CriterionResult:
     """Same seed, same bytes, for the full analysis pipeline."""
     from .analysis import run_analysis
-    case = build_case("desitter-flat")
-    setup = AnalysisSetup(coords=case.coords, metric=case.metric,
-                          vector=case.vector, bounds=case.bounds,
-                          explicit_points=(), avoid=case.avoid,
-                          fluid=case.fluid, seed=seed, n_points=8,
-                          fmt="machine")
+    setup = replace(build_case("desitter-flat"), seed=seed, n_points=8)
     outs = (io.StringIO(), io.StringIO())
     for out in outs:
         run_analysis(setup).render("machine", out)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from concirc.catalog import BUILTIN_NAMES, CatalogError, build_case
-from concirc.config import ConfigError, load_config, parse_config
+from concirc.config import (ConfigError, apply_overrides, load_config,
+                            parse_config)
 from concirc.connection import build_connection, check_concircular
 from concirc.expr import to_string
 
@@ -56,9 +57,10 @@ class TestCatalog:
         assert case.description
         assert len(case.bounds) == len(case.coords)
         point = np.array([0.5 * (lo + hi) for lo, hi in case.bounds])
+        # scripts/ evaluate at the bounds centre, so it avoids every
+        # avoided value by the sampling margin
         for slot, value in case.avoid:
-            if abs(point[slot] - value) < 1e-9:
-                point[slot] += 0.25 * (case.bounds[slot][1] - point[slot])
+            assert abs(point[slot] - value) > case.margin
         c = build_connection(case.metric, case.vector, point)
         assert c.n == len(case.coords)
 
@@ -111,6 +113,33 @@ class TestCatalog:
         case = build_case("flrw")
         assert (0, 0.0) in case.avoid
         assert case.bounds[0][0] > 0.0
+
+
+class TestOverrides:
+    def test_unset_fluid_keys_keep_the_base_values(self):
+        base = build_case("desitter-flat")
+        setup = apply_overrides(base, fluid={"sigma": "1"})
+        assert setup.fluid.lam == 3.0
+        assert to_string(setup.fluid.sigma) == "1"
+        assert setup.fluid.p is base.fluid.p
+
+    def test_fluid_without_a_base_uses_the_config_defaults(self):
+        setup = apply_overrides(build_case("flrw"), fluid={"rho": "t"})
+        assert to_string(setup.fluid.sigma) == "0"
+        assert to_string(setup.fluid.p) == "t"
+        assert (setup.fluid.lam, setup.fluid.k) == (0.0, 1.0)
+
+    def test_none_keeps_every_value(self):
+        base = build_case("desitter-flat")
+        setup = apply_overrides(base)
+        fields = ("tol", "seed", "n_points", "fmt", "fluid", "description")
+        assert all(getattr(setup, f) is getattr(base, f) for f in fields)
+
+    def test_errors_name_the_flag(self):
+        with pytest.raises(ConfigError, match="^--tol: tol must be positive"):
+            apply_overrides(build_case("grw"), tol=-1.0)
+        with pytest.raises(ConfigError, match="^--fluid: unknown key 'q'"):
+            apply_overrides(build_case("grw"), fluid={"q": "1"})
 
 
 class TestConfigParsing:

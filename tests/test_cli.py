@@ -61,6 +61,51 @@ class TestExitCodes:
         assert "KEY=VALUE" in err or "=" in err
 
 
+class TestRejectedInput:
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    @pytest.mark.parametrize("extra,names", [
+        (["--tol", "0"], ("--tol", "tol")),
+        (["--points", "-1"], ("--points", "points")),
+        (["--points", "0"], ("points",)),
+        (["--fluid", "rho=0", "--fluid", "p=0"], ("--fluid", "p", "rho")),
+        (["--fluid", "q=1"], ("--fluid", "'q'")),
+        (["--fluid", "sigma=("], ("--fluid", "sigma")),
+        (["--fluid", "lambda=x"], ("--fluid", "lambda")),
+    ], ids=lambda v: "_".join(v) if isinstance(v, list) else None)
+    def test_bad_override_exits_two_and_names_the_key(self, extra, names,
+                                                      fmt, capsys):
+        code, out, err = _run(["builtin", "minkowski", "--format", fmt]
+                              + extra, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        for name in names:
+            assert name in err
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_explicit_point_alone_is_a_run(self, fmt, capsys):
+        code, out, _ = _run(["analyze", "configs/desitter.cfg", "--points",
+                             "0", "--format", fmt], capsys)
+        assert code == 0
+        assert ("point=0 " in out) if fmt == "machine" else (
+            "points: 1 explicit + 0 sampled" in out)
+        assert "point=1 " not in out
+
+    def test_points_zero_in_a_config_needs_an_override(self, tmp_path,
+                                                       capsys):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text((ROOT / "configs" / "desitter.cfg").read_text()
+                       .replace("points = 4", "points = 0")
+                       .replace("point = 0.3 0.4 -0.2 0.7\n", ""))
+        code, out, err = _run(["analyze", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert "no point" in err
+        code, out, _ = _run(["analyze", str(cfg), "--points", "4",
+                             "--format", "machine"], capsys)
+        assert code == 0
+        assert "point=3 " in out and "point=4 " not in out
+
+
 class TestAnalyzeSubcommand:
     def test_shipped_config_runs_clean(self, capsys):
         code, out, _ = _run(["analyze", "configs/desitter.cfg"], capsys)
