@@ -343,7 +343,7 @@ def _fluid_over(base: FluidParams | None, coords, rows,
         name = _FLUID_FIELDS.get(key)
         if name is None:
             raise ConfigError("unknown key %r in [fluid]" % key, where)
-        if name in fields:
+        if name in fields:  # only through p's alias; keys are unique
             raise ConfigError("pressure given twice (p and its alias rho)",
                               where)
         if name in ("sigma", "p"):

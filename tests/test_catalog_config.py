@@ -129,18 +129,6 @@ class TestOverrides:
         assert to_string(setup.fluid.p) == "t"
         assert (setup.fluid.lam, setup.fluid.k) == (0.0, 1.0)
 
-    def test_none_keeps_every_value(self):
-        base = build_case("desitter-flat")
-        setup = apply_overrides(base)
-        fields = ("tol", "seed", "n_points", "fmt", "fluid", "description")
-        assert all(getattr(setup, f) is getattr(base, f) for f in fields)
-
-    def test_errors_name_the_flag(self):
-        with pytest.raises(ConfigError, match="^--tol: tol must be positive"):
-            apply_overrides(build_case("grw"), tol=-1.0)
-        with pytest.raises(ConfigError, match="^--fluid: unknown key 'q'"):
-            apply_overrides(build_case("grw"), fluid={"q": "1"})
-
 
 class TestConfigParsing:
     def test_golden_document(self):
