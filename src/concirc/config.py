@@ -273,11 +273,8 @@ def _vector(entries, coords) -> VectorFieldSpec:
         if len(parts) != 2 or parts[0] != "P" or parts[1] not in coords:
             raise ConfigError("vector keys look like P_<coord>; got %r" % key,
                               lineno)
-        comps[coords.index(parts[1])] = _quoted(value, key, lineno)
-    try:
-        return VectorFieldSpec.from_strings(coords, comps)
-    except ExprError as exc:
-        raise ConfigError("in a vector component: %s" % exc) from exc
+        comps[coords.index(parts[1])] = _quoted(value, key, lineno, coords)
+    return VectorFieldSpec.from_strings(coords, comps)
 
 
 def _sampling(entries, coords) -> dict:

@@ -228,6 +228,11 @@ P_u = "u"
             base.replace("[sampling]", "[sampling]\nwidth = 2"),
             "unknown key")
 
+    def test_vector_expression_error_names_key_and_line(self):
+        err = self._expect_error(GOLDEN.replace('P_t = "1"', 'P_t = "(1"'),
+                                 "in P_t")
+        assert err.line == GOLDEN.splitlines().index('P_t = "1"') + 1
+
     def test_missing_required_section(self):
         self._expect_error("[manifold]\ncoords = u v\n",
                            "missing required section")
