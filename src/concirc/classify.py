@@ -22,8 +22,7 @@ depend on the size of g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +38,7 @@ from .geometry import MetricSpec, VectorFieldSpec, close, residual
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VectorTaxonomy:
+class VectorTaxonomy(NamedTuple):
     """Pointwise classification of the generator.
 
     When the field vanishes at the point the fit is unidentifiable; then
@@ -164,23 +162,33 @@ def classify_vector(m: MetricSpec, p: VectorFieldSpec, point,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RicciData:
-    """Bare (g, Ric, pi) triple; enough for every data-level theorem here."""
+    """Bare (g, Ric, pi) triple; enough for every data-level theorem here.
 
-    g: np.ndarray
-    ric: np.ndarray
-    pi: np.ndarray
+    ``ginv`` may be given when g^-1 is already known (``from_bundle``);
+    otherwise it is inverted on first use, once.
+    """
+
+    __slots__ = ("g", "ric", "pi", "_ginv")
+
+    def __init__(self, g: np.ndarray, ric: np.ndarray, pi: np.ndarray,
+                 ginv: np.ndarray | None = None):
+        self.g = g
+        self.ric = ric
+        self.pi = pi
+        self._ginv = ginv
 
     @property
     def n(self) -> int:
         return self.g.shape[0]
 
-    @cached_property
+    @property
     def ginv(self) -> np.ndarray:
-        """g^-1, symmetrised as in geometry.frame_at; inverted once."""
-        inv = np.linalg.inv(self.g)
-        return 0.5 * (inv + inv.T)
+        """g^-1, symmetrised as in geometry.frame_at."""
+        if self._ginv is None:
+            inv = np.linalg.inv(self.g)
+            self._ginv = 0.5 * (inv + inv.T)
+        return self._ginv
 
     @property
     def r(self) -> float:
@@ -194,13 +202,10 @@ class RicciData:
     def from_bundle(bundle: CurvatureBundle, theta="g") -> "RicciData":
         """Family ``theta``'s data, reusing the frame's g^-1 (same bits)."""
         c = bundle.connection
-        d = RicciData(c.frame.g, bundle.ricci[theta], c.pi)
-        d.__dict__["ginv"] = c.frame.ginv      # fills the cached_property
-        return d
+        return RicciData(c.frame.g, bundle.ricci[theta], c.pi, c.frame.ginv)
 
 
-@dataclass(frozen=True)
-class QuasiEinsteinFit:
+class QuasiEinsteinFit(NamedTuple):
     a: float
     b: float
     residual: float
@@ -235,8 +240,7 @@ def _einstein_theta_from_data(theta, d: RicciData) -> np.ndarray:
     return einstein_closed_form(theta, e_g, d.g, d.pi, d.pi_P)
 
 
-@dataclass(frozen=True)
-class KindVerdict:
+class KindVerdict(NamedTuple):
     theta: object
     residual: float
     holds: bool
@@ -270,8 +274,7 @@ KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Both directions of `E^theta = 0 iff Ric has the theta normal form`."""
 
     theta: int
@@ -311,8 +314,7 @@ def quasi_einstein_equivalences(theta: int, d: RicciData,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GRWReport:
+class GRWReport(NamedTuple):
     lorentzian: bool
     unit_timelike: bool
     generator_residual: float     # nabla_X P - X - pi(X) P
@@ -376,8 +378,7 @@ def grw_identity_suite(bundle: CurvatureBundle) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FluidKindReport:
+class FluidKindReport(NamedTuple):
     """Per-family quasi-Einstein fits with the GRW coefficient identities."""
 
     fits: dict                     # theta -> QuasiEinsteinFit
@@ -409,8 +410,7 @@ def perfect_fluid_kind(bundle: CurvatureBundle,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     point: np.ndarray
     concircular: bool
     concircular_residual: float

@@ -44,7 +44,7 @@ rules, naming the flag where a config error names the line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ class ConfigError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class AnalysisSetup:
+class AnalysisSetup(NamedTuple):
     """Everything one run needs, from a config file or a builtin."""
 
     coords: tuple
@@ -104,7 +103,7 @@ def apply_overrides(setup: AnalysisSetup, tol=None, seed=None, points=None,
             setup.fluid, setup.coords,
             [(key, value, "--fluid") for key, value in fluid.items()],
             quoted=False)
-    return replace(setup, **updates)
+    return setup._replace(**updates)
 
 
 def load_config(path: str) -> AnalysisSetup:
@@ -348,7 +347,7 @@ def _fluid_over(base: FluidParams | None, coords, rows,
             fields[name] = _expression(text, key, where, coords)
         else:
             fields[name] = _number(value, key, where)
-    return replace(base or FluidParams.from_strings(coords), **fields)
+    return (base or FluidParams.from_strings(coords))._replace(**fields)
 
 
 def _tolerances(entries) -> float:

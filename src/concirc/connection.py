@@ -18,7 +18,7 @@ is pure trace, s = mu g with mu = omega + (1/2)pi(P).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .geometry import (MetricSpec, PointFrame, VectorFieldSpec, frame_at,
                        residual)
 
 
-@dataclass(frozen=True)
-class SSConnection:
+class SSConnection(NamedTuple):
     """Connection data at a point: coefficients, torsion, their derivatives."""
 
     frame: PointFrame
@@ -110,8 +109,7 @@ def build_connection(m: MetricSpec, p: VectorFieldSpec, point,
                         torsion, dtorsion, omega, div_P)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Residual of a tensor condition plus the pass verdict."""
 
     residual: float
@@ -140,8 +138,7 @@ def s_concircular_check(c: SSConnection, tol: float = 1e-8) -> ConditionReport:
     return ConditionReport(res, res <= tol, {"mu": mu})
 
 
-@dataclass(frozen=True)
-class GeneratorDerivative:
+class GeneratorDerivative(NamedTuple):
     """nabla1 P together with its concircular closed form."""
 
     tensor: np.ndarray             # [k, a] = (nabla1_a P)^k
@@ -191,8 +188,7 @@ def identity_suite(c: SSConnection) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class ConformalReport:
+class ConformalReport(NamedTuple):
     """Behaviour of g under the generator flow seen through nabla1."""
 
     lie1_g: np.ndarray

@@ -23,7 +23,7 @@ live in closed_form_ricci / closed_form_scalar and anchor the assembly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ from .geometry import residual, ricci_from_riemann, riemann_from_gamma
 THETAS = ("g", 0, 1, 2, 3, 4, 5)
 
 
-@dataclass(frozen=True)
-class CurvatureBundle:
+class CurvatureBundle(NamedTuple):
     """All curvature families of one connection at one point."""
 
     connection: SSConnection

@@ -15,7 +15,6 @@ evaluation carry the text of the innermost failing subexpression.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +56,7 @@ class EvalDomainError(ExprError):
 class Expr:
     """Base node.  Subclasses implement jet/value evaluation and rendering."""
 
+    __slots__ = ()
     pos: int
 
     def jet(self, point: np.ndarray) -> Jet2:
@@ -74,10 +74,12 @@ def _wrap(text: str, prec: int, min_prec: int) -> str:
     return "(" + text + ")" if prec < min_prec else text
 
 
-@dataclass(frozen=True)
 class Num(Expr):
-    value: float
-    pos: int = 0
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value: float, pos: int = 0):
+        self.value = value
+        self.pos = pos
 
     def jet(self, point):
         return Jet2.constant(self.value, len(point))
@@ -89,11 +91,13 @@ class Num(Expr):
         return np.format_float_positional(self.value, unique=True, trim="-")
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
-    index: int
-    pos: int = 0
+    __slots__ = ("name", "index", "pos")
+
+    def __init__(self, name: str, index: int, pos: int = 0):
+        self.name = name
+        self.index = index
+        self.pos = pos
 
     def jet(self, point):
         return Jet2.variable(point[self.index], self.index, len(point))
@@ -105,10 +109,12 @@ class Var(Expr):
         return self.name
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    operand: Expr
-    pos: int = 0
+    __slots__ = ("operand", "pos")
+
+    def __init__(self, operand: Expr, pos: int = 0):
+        self.operand = operand
+        self.pos = pos
 
     def jet(self, point):
         return -self.operand.jet(point)
@@ -123,12 +129,14 @@ class Neg(Expr):
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 
-@dataclass(frozen=True)
 class Bin(Expr):
-    op: str
-    left: Expr
-    right: Expr
-    pos: int = 0
+    __slots__ = ("op", "left", "right", "pos")
+
+    def __init__(self, op: str, left: Expr, right: Expr, pos: int = 0):
+        self.op = op
+        self.left = left
+        self.right = right
+        self.pos = pos
 
     def jet(self, point):
         a = self.left.jet(point)
@@ -195,11 +203,13 @@ _VALUE_FUNCTIONS = {
 }
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    func: str
-    arg: Expr
-    pos: int = 0
+    __slots__ = ("func", "arg", "pos")
+
+    def __init__(self, func: str, arg: Expr, pos: int = 0):
+        self.func = func
+        self.arg = arg
+        self.pos = pos
 
     def jet(self, point):
         try:

@@ -21,7 +21,7 @@ Index conventions used across the package (all arrays are dense numpy):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ class SingularMetricError(ArithmeticError):
 DET_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class MetricSpec:
+class MetricSpec(NamedTuple):
     """Symmetric matrix of coordinate expressions for the metric."""
 
     coords: tuple
@@ -95,8 +94,7 @@ class MetricSpec:
         return g
 
 
-@dataclass(frozen=True)
-class VectorFieldSpec:
+class VectorFieldSpec(NamedTuple):
     """Contravariant components of a vector field, one expression each."""
 
     coords: tuple
@@ -127,8 +125,7 @@ class VectorFieldSpec:
         return P, dP
 
 
-@dataclass(frozen=True)
-class PointFrame:
+class PointFrame(NamedTuple):
     """Everything the metric determines at one point, to second order."""
 
     coords: tuple

@@ -24,7 +24,7 @@ Divergences come in two modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ from .expr import Expr, parse
 from .geometry import residual as _residual
 
 
-@dataclass(frozen=True)
-class FluidParams:
+class FluidParams(NamedTuple):
     """Perfect-fluid data: expressions for sigma and p, constants lam, k."""
 
     sigma: Expr
@@ -60,8 +59,7 @@ def stress_energy(c: SSConnection, sigma: float, p: float) -> np.ndarray:
     return p * c.frame.g + (sigma + p) * np.outer(c.pi, c.pi)
 
 
-@dataclass(frozen=True)
-class EFEReport:
+class EFEReport(NamedTuple):
     residual: float
     lhs: np.ndarray            # Ric - (r/2) g + lam g
     tau: np.ndarray
@@ -119,8 +117,7 @@ def div_tau(bundle: CurvatureBundle, fluid: FluidParams,
     return div_symmetric_2tensor(c, tau, dtau)
 
 
-@dataclass(frozen=True)
-class PhantomReport:
+class PhantomReport(NamedTuple):
     """Equation-of-state verdict at a point.
 
     regime is one of "undefined" (sigma ~ 0, so w = p / sigma is meaningless),

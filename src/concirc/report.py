@@ -27,7 +27,6 @@ more than one line beyond the records themselves.  The CLI passes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,12 +47,14 @@ def fmt_value(v) -> str:
     return str(v)
 
 
-@dataclass(frozen=True)
 class CheckRecord:
-    name: str
-    point: int                 # -1 for the aggregate over all points
-    residual: float
-    passed: bool
+    __slots__ = ("name", "point", "residual", "passed")
+
+    def __init__(self, name: str, point: int, residual: float, passed: bool):
+        self.name = name
+        self.point = point         # -1 for the aggregate over all points
+        self.residual = residual
+        self.passed = passed
 
     def machine(self) -> str:
         return "CHECK %s point=%d residual=%s status=%s" % (
@@ -61,11 +62,13 @@ class CheckRecord:
             "PASS" if self.passed else "FAIL")
 
 
-@dataclass(frozen=True)
 class VerdictRecord:
-    name: str
-    point: int
-    value: object
+    __slots__ = ("name", "point", "value")
+
+    def __init__(self, name: str, point: int, value):
+        self.name = name
+        self.point = point
+        self.value = value
 
     def machine(self) -> str:
         return "VERDICT %s point=%d value=%s" % (

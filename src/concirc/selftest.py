@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 import sys
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ from .report import fmt_float
 from .sampling import LCG, sample_points
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool
@@ -307,7 +306,7 @@ def concircular_condition_equivalence(seed: int = 0) -> CriterionResult:
 def determinism(seed: int = 0) -> CriterionResult:
     """Same seed, same bytes, for the full analysis pipeline."""
     from .analysis import run_analysis
-    setup = replace(build_case("desitter-flat"), seed=seed, n_points=8)
+    setup = build_case("desitter-flat")._replace(seed=seed, n_points=8)
     outs = (io.StringIO(), io.StringIO())
     for out in outs:
         run_analysis(setup).render("machine", out)
