@@ -3,8 +3,8 @@
 The format is deliberately small: named sections in square brackets,
 ``key = value`` pairs, ``#`` comments, blank lines ignored.  Expression
 values are double-quoted; numeric values are bare.  Anything unrecognised —
-unknown sections, unknown keys, duplicate keys, malformed values — is an
-error that names the offending line, because silently ignoring a typo like
+unknown sections, unknown keys, duplicate keys, malformed values, numbers
+that are not finite — is an error that names the offending line, because silently ignoring a typo like
 ``g_t_y`` in a metric would corrupt every downstream number.
 
     [manifold]
@@ -43,6 +43,7 @@ rules, naming the flag where a config error names the line.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import NamedTuple
 
@@ -189,12 +190,19 @@ def _expression(text: str, key: str, where, coords) -> Expr:
         raise ConfigError("in %s: %s" % (key, exc), where) from exc
 
 
-def _number(value: str, key: str, lineno: int) -> float:
+def _number(value: str, key: str, where) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError("%s expects a number, got %r" % (key, value),
-                          lineno) from None
+                          where) from None
+    return _finite(number, key, where)
+
+
+def _finite(value: float, key: str, where) -> float:
+    if not math.isfinite(value):
+        raise ConfigError("%s must be finite, got %r" % (key, value), where)
+    return value
 
 
 def _integer(value: str, key: str, lineno: int) -> int:
@@ -206,7 +214,7 @@ def _integer(value: str, key: str, lineno: int) -> int:
 
 
 def _positive(value: float, key: str, where) -> float:
-    if value <= 0:
+    if _finite(value, key, where) <= 0:
         raise ConfigError("%s must be positive" % key, where)
     return value
 

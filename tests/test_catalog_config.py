@@ -227,6 +227,19 @@ P_u = "u"
         self._expect_error(
             base.replace("[sampling]", "[sampling]\nwidth = 2"),
             "unknown key")
+        lines = base.splitlines()
+        for old, new in (("bounds_t = -0.5 0.5", "bounds_t = nan 0.5"),
+                         ("point = 0.3 0.4 -0.2 0.7",
+                          "point = inf 0.4 -0.2 0.7"),
+                         ("avoid_x = 0", "avoid_x = nan"),
+                         ("margin = 0.2", "margin = inf"),
+                         ("lambda = 3", "lambda = nan"),
+                         ("k = 1", "k = -inf"),
+                         ("tol = 1e-9", "tol = inf")):
+            key = old.split()[0]
+            err = self._expect_error(base.replace(old, new),
+                                     "%s must be finite" % key)
+            assert err.line == lines.index(old) + 1
 
     def test_vector_expression_error_names_key_and_line(self):
         err = self._expect_error(GOLDEN.replace('P_t = "1"', 'P_t = "(1"'),

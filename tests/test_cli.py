@@ -71,6 +71,10 @@ class TestRejectedInput:
         (["--fluid", "q=1"], ("--fluid", "'q'")),
         (["--fluid", "sigma=("], ("--fluid", "sigma")),
         (["--fluid", "lambda=x"], ("--fluid", "lambda")),
+        (["--tol", "nan"], ("--tol", "tol must be finite")),
+        (["--tol", "inf"], ("--tol", "tol must be finite")),
+        (["--fluid", "lambda=nan"], ("--fluid", "lambda must be finite")),
+        (["--fluid", "k=inf"], ("--fluid", "k must be finite")),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else None)
     def test_bad_override_exits_two_and_names_the_key(self, extra, names,
                                                       fmt, capsys):
@@ -81,6 +85,21 @@ class TestRejectedInput:
         assert err.startswith("error: ")
         for name in names:
             assert name in err
+
+    @pytest.mark.parametrize("old,new", [
+        ("bounds_t = -0.5 0.5", "bounds_t = nan 0.5"),
+        ("point = 0.3 0.4 -0.2 0.7", "point = inf 0.4 -0.2 0.7"),
+    ])
+    def test_non_finite_config_number_exits_two(self, old, new, tmp_path,
+                                                capsys):
+        text = (ROOT / "configs" / "desitter.cfg").read_text()
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.replace(old, new))
+        code, out, err = _run(["analyze", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line %d: %s must be finite"
+                              % (text.splitlines().index(old) + 1,
+                                 old.split()[0]))
 
     @pytest.mark.parametrize("fmt", ["text", "machine"])
     def test_explicit_point_alone_is_a_run(self, fmt, capsys):
