@@ -13,9 +13,13 @@ are gated on the verdict that makes them applicable:
 * gated on the concircularity verdict — the six closed-form Ricci relations,
   the six Einstein-tensor relations, the generator-derivative closed form,
   and the modified-connection Lie-derivative theorem;
-* gated on the GRW verdict — the GRW identity battery, the divergence
-  identity div(pi x pi) = (n-1) pi, and the perfect-fluid coefficient
-  identities a - b = n - 1 with the scalar-curvature rewrite.
+* gated on the GRW verdict — the GRW identity battery and the divergence
+  identity div(pi x pi) = (n-1) pi; when Ric is also quasi-Einstein in pi
+  (the perfect-fluid case), the coefficient identities a - b = n - 1 with
+  the scalar-curvature rewrite.
+
+The verdicts come from classify.classify_point, once per point; the gated
+identities are called here, after it.
 
 A non-concircular generator therefore produces a clean exit: the inapplicable
 identities are simply not asserted, and the verdicts record why.
@@ -25,13 +29,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .classify import (classify_quasi_einstein, classify_vector, einstein_type,
-                       grw_detect, grw_identity_suite, perfect_fluid_kind,
-                       RicciData)
+from .classify import classify_point, grw_identity_suite, perfect_fluid_kind
 from .config import AnalysisSetup
-from .connection import (build_connection, check_concircular, identity_suite,
-                         lie_g_nonsym, nabla1_P)
-from .curvature import (THETAS, closed_form_ricci, closed_form_scalar,
+from .connection import (build_connection, identity_suite, lie_g_nonsym,
+                         nabla1_P)
+from .curvature import (closed_form_ricci, closed_form_scalar,
                         curvature_family, einstein_relations)
 from .geometry import SingularMetricError, frame_at, residual
 from .relativity import div_pi_pi, efe_residual, phantom_verdict
@@ -105,6 +107,7 @@ def _evaluate_point(rep: Report, setup: AnalysisSetup, point: np.ndarray):
     f = c.frame
     bundle = curvature_family(c)
     ric_g, r_g = bundle.ricci["g"], bundle.scalar["g"]
+    cls = classify_point(setup.metric, setup.vector, bundle, setup.tol)
 
     # ---- unconditional identities ------------------------------------
     gamma = f.gamma
@@ -127,34 +130,8 @@ def _evaluate_point(rep: Report, setup: AnalysisSetup, point: np.ndarray):
         rep.check("field_equation", idx,
                   efe_residual(bundle, setup.fluid).residual)
 
-    # ---- generator verdicts ------------------------------------------
-    conc = check_concircular(c, setup.tol)
-    rep.verdict("concircular", idx, conc.holds)
-    rep.verdict("concircular_residual", idx, conc.residual)
-    rep.verdict("omega", idx, c.omega)
-
-    tax = classify_vector(setup.metric, setup.vector, point, setup.tol,
-                          conn=c)
-    rep.verdict("generator_indeterminate", idx, tax.indeterminate)
-    for flag in _TAXONOMY_FLAGS:
-        rep.verdict(flag, idx, getattr(tax, flag))
-    if not tax.indeterminate:
-        rep.verdict("omega_hat", idx, tax.omega_hat)
-        rep.verdict("conformal_factor", idx, tax.conformal_factor)
-
-    # ---- curvature verdicts ------------------------------------------
-    qe = classify_quasi_einstein(RicciData.from_bundle(bundle), setup.tol)
-    rep.verdict("quasi_einstein", idx, qe.quasi_einstein)
-    rep.verdict("einstein", idx, qe.einstein)
-    rep.verdict("qe_coefficient_a", idx, qe.a)
-    rep.verdict("qe_coefficient_b", idx,
-                qe.b if qe.b_identifiable else None)
-    for t in THETAS:
-        rep.verdict("einstein_type_theta%s" % t, idx,
-                    einstein_type(t, bundle, setup.tol).holds)
-
     # ---- identities that apply to concircular generators --------------
-    if conc.holds:
+    if cls.concircular:
         for t in (0, 1, 2, 3, 4, 5):
             rep.check("ricci_closed_form_theta%d" % t, idx,
                       residual(closed_form_ricci(t, c, ric_g)
@@ -162,26 +139,48 @@ def _evaluate_point(rep: Report, setup: AnalysisSetup, point: np.ndarray):
         for t, res in einstein_relations(bundle).items():
             rep.check("einstein_relation_theta%s" % t, idx, res)
         rep.check("generator_derivative", idx,
-                  nabla1_P(c, setup.tol).closed_form_residual)
+                  nabla1_P(c).closed_form_residual)
         rep.check("modified_lie_derivative", idx,
                   lie_g_nonsym(c, setup.tol).theorem_residual)
         for name, res in identity_suite(c).items():
             rep.check("identity_%s" % name, idx, res)
 
     # ---- GRW spacetimes ------------------------------------------------
-    grw = grw_detect(c, setup.tol)
-    rep.verdict("grw", idx, grw.passes)
-    if grw.passes:
+    qe = cls.quasi_einstein
+    if cls.grw.passes:
         for name, res in grw_identity_suite(bundle).items():
             rep.check("grw_%s" % name, idx, res)
         rep.check("grw_divergence_identity", idx,
                   residual(div_pi_pi(c) - (c.n - 1.0) * c.pi, f.g))
-        fluid_kind = perfect_fluid_kind(bundle, setup.tol)
-        rep.check("grw_fluid_coefficients", idx,
-                  max(abs(fluid_kind.a_minus_b - (c.n - 1.0)) / c.n,
-                      fluid_kind.rewrite_residual))
+        # a GRW spacetime is a perfect fluid only when Ric = a g + b pi x pi
+        if qe.quasi_einstein:
+            fluid_kind = perfect_fluid_kind(bundle, setup.tol)
+            rep.check("grw_fluid_coefficients", idx,
+                      max(abs(fluid_kind.a_minus_b - (c.n - 1.0)) / c.n,
+                          fluid_kind.rewrite_residual))
 
-    # ---- fluid regime ---------------------------------------------------
+    # ---- verdicts --------------------------------------------------------
+    rep.verdict("concircular", idx, cls.concircular)
+    rep.verdict("concircular_residual", idx, cls.concircular_residual)
+    rep.verdict("omega", idx, c.omega)
+
+    tax = cls.taxonomy
+    rep.verdict("generator_indeterminate", idx, tax.indeterminate)
+    for flag in _TAXONOMY_FLAGS:
+        rep.verdict(flag, idx, getattr(tax, flag))
+    if not tax.indeterminate:
+        rep.verdict("omega_hat", idx, tax.omega_hat)
+        rep.verdict("conformal_factor", idx, tax.conformal_factor)
+
+    rep.verdict("quasi_einstein", idx, qe.quasi_einstein)
+    rep.verdict("einstein", idx, qe.einstein)
+    rep.verdict("qe_coefficient_a", idx, qe.a)
+    rep.verdict("qe_coefficient_b", idx,
+                qe.b if qe.b_identifiable else None)
+    for t, kind in cls.kinds.items():
+        rep.verdict("einstein_type_theta%s" % t, idx, kind.holds)
+    rep.verdict("grw", idx, cls.grw.passes)
+
     if setup.fluid is not None:
         sigma, p = setup.fluid.values(point)
         ph = phantom_verdict(sigma, p, setup.tol)

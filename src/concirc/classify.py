@@ -53,7 +53,6 @@ class VectorTaxonomy(NamedTuple):
     torqued: bool | None = None
     concircular_fialkow: bool | None = None   # eta = 0
     concircular_yano: bool | None = None      # d eta = 0 (finite-differenced)
-    deta_residual: float | None = None
     recurrent: bool | None = None             # w = 0
     concurrent: bool | None = None            # eta = 0, w = 1
     parallel: bool | None = None              # eta = 0, w = 0
@@ -104,7 +103,6 @@ def classify_vector(m: MetricSpec, p: VectorFieldSpec, point,
     w_one = close(w, 1.0, tol)
     eta_P = float(eta @ c.P)
 
-    deta_res = None
     yano = None
     if torse:
         def eta_field(q):
@@ -112,8 +110,7 @@ def classify_vector(m: MetricSpec, p: VectorFieldSpec, point,
             return _fit_torse(cq.nabla_P(), cq.P)[1]
 
         deta = fd_jacobian(eta_field, f.point)  # [i, a] = del_a eta_i
-        deta_res = residual(deta - deta.T, f.g)
-        yano = deta_res <= tol
+        yano = residual(deta - deta.T, f.g) <= tol
 
     geodesic = residual(np.einsum("ki,i->k", M, c.P), f.g) <= tol
 
@@ -141,7 +138,6 @@ def classify_vector(m: MetricSpec, p: VectorFieldSpec, point,
         torqued=torse and close(eta_P, 0.0, tol),
         concircular_fialkow=torse and eta_small,
         concircular_yano=yano,
-        deta_residual=deta_res,
         recurrent=torse and w_zero,
         concurrent=torse and eta_small and w_one,
         parallel=torse and eta_small and w_zero,
@@ -321,7 +317,6 @@ class GRWReport(NamedTuple):
     passes: bool
     omega: float
     omega_is_one: bool | None
-    nabla1_P_residual: float | None
 
 
 def grw_detect(c: SSConnection, tol: float = 1e-8) -> GRWReport:
@@ -330,12 +325,8 @@ def grw_detect(c: SSConnection, tol: float = 1e-8) -> GRWReport:
     unit = close(c.pi_P, -1.0, tol)
     gen_res = residual(c.nabla_P() - np.eye(c.n) - np.outer(c.P, c.pi), f.g)
     passes = lorentzian and unit and gen_res <= tol
-    if not passes:
-        return GRWReport(lorentzian, unit, gen_res, False, c.omega,
-                         None, None)
-    return GRWReport(lorentzian, unit, gen_res, True, c.omega,
-                     close(c.omega, 1.0, tol),
-                     residual(c.nabla1_P(), f.g))
+    return GRWReport(lorentzian, unit, gen_res, passes, c.omega,
+                     close(c.omega, 1.0, tol) if passes else None)
 
 
 def grw_identity_suite(bundle: CurvatureBundle) -> dict:
@@ -418,21 +409,17 @@ class ClassificationReport(NamedTuple):
     quasi_einstein: QuasiEinsteinFit
     kinds: dict                    # theta -> KindVerdict
     grw: GRWReport
-    grw_identities: dict | None
-    fluid: FluidKindReport | None
 
 
-def classify_point(m: MetricSpec, p: VectorFieldSpec, point,
-                   bundle: CurvatureBundle,
+def classify_point(m: MetricSpec, p: VectorFieldSpec, bundle: CurvatureBundle,
                    tol: float = 1e-8) -> ClassificationReport:
+    """Every per-point verdict on (g, P); the analysis emits these rows."""
     c = bundle.connection
+    point = c.frame.point
     conc = check_concircular(c, tol)
-    taxonomy = classify_vector(m, p, point, tol, conn=c)
-    data = RicciData.from_bundle(bundle)
-    qe = classify_quasi_einstein(data, tol)
-    kinds = {t: einstein_type(t, bundle, tol) for t in THETAS}
-    grw = grw_detect(c, tol)
-    identities = grw_identity_suite(bundle) if grw.passes else None
-    fluid = perfect_fluid_kind(bundle, tol) if grw.passes else None
-    return ClassificationReport(c.frame.point, conc.holds, conc.residual,
-                                taxonomy, qe, kinds, grw, identities, fluid)
+    return ClassificationReport(
+        point, conc.holds, conc.residual,
+        classify_vector(m, p, point, tol, conn=c),
+        classify_quasi_einstein(RicciData.from_bundle(bundle), tol),
+        {t: einstein_type(t, bundle, tol) for t in THETAS},
+        grw_detect(c, tol))

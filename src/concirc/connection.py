@@ -82,10 +82,8 @@ class SSConnection(NamedTuple):
                 - np.einsum("maj,im->ija", self.gamma1, f.g))
 
 
-def build_connection(m: MetricSpec, p: VectorFieldSpec, point,
-                     frame: PointFrame | None = None) -> SSConnection:
-    if frame is None:
-        frame = frame_at(m, point)
+def build_connection(m: MetricSpec, p: VectorFieldSpec, point) -> SSConnection:
+    frame = frame_at(m, point)
     n = frame.n
     P, dP = p.jets(frame.point)
     pi = frame.g @ P
@@ -143,15 +141,13 @@ class GeneratorDerivative(NamedTuple):
 
     tensor: np.ndarray             # [k, a] = (nabla1_a P)^k
     closed_form_residual: float    # vs (omega + pi(P)) identity
-    applicable: bool               # concircularity verdict at this point
 
 
-def nabla1_P(c: SSConnection, tol: float = 1e-8) -> GeneratorDerivative:
+def nabla1_P(c: SSConnection) -> GeneratorDerivative:
+    """The closed form holds when the generator is concircular."""
     val = c.nabla1_P()
     closed = (c.omega + c.pi_P) * np.eye(c.n)
-    applicable = check_concircular(c, tol).holds
-    return GeneratorDerivative(val, residual(val - closed, c.frame.g),
-                               applicable)
+    return GeneratorDerivative(val, residual(val - closed, c.frame.g))
 
 
 def identity_suite(c: SSConnection) -> dict:

@@ -132,7 +132,6 @@ class PointFrame(NamedTuple):
     point: np.ndarray
     g: np.ndarray
     ginv: np.ndarray
-    det: float
     signature: tuple  # eigenvalue signs of g, sorted ascending
     dg: np.ndarray
     d2g: np.ndarray
@@ -180,7 +179,7 @@ def frame_at(m: MetricSpec, point) -> PointFrame:
     signature = tuple(int(np.sign(w)) for w in np.linalg.eigvalsh(g))
     gamma = christoffel(ginv, dg)
     dgamma = dchristoffel(ginv, dg, d2g)
-    return PointFrame(m.coords, point, g, ginv, det, signature,
+    return PointFrame(m.coords, point, g, ginv, signature,
                       dg, d2g, gamma, dgamma)
 
 

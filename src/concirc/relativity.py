@@ -128,17 +128,15 @@ class PhantomReport(NamedTuple):
     sigma: float
     p: float
     w: float | None
-    sigma_plus_p: float
     at_barrier: bool
     regime: str
 
 
 def phantom_verdict(sigma: float, p: float, tol: float = 1e-8) -> PhantomReport:
     scale = 1.0 + abs(sigma) + abs(p)
-    s_plus_p = sigma + p
-    at_barrier = abs(s_plus_p) <= tol * scale
+    at_barrier = abs(sigma + p) <= tol * scale
     if abs(sigma) <= tol * scale:
-        return PhantomReport(sigma, p, None, s_plus_p, at_barrier, "undefined")
+        return PhantomReport(sigma, p, None, at_barrier, "undefined")
     w = p / sigma
     if at_barrier:
         regime = "barrier"
@@ -146,4 +144,4 @@ def phantom_verdict(sigma: float, p: float, tol: float = 1e-8) -> PhantomReport:
         regime = "phantom"
     else:
         regime = "ordinary"
-    return PhantomReport(sigma, p, w, s_plus_p, at_barrier, regime)
+    return PhantomReport(sigma, p, w, at_barrier, regime)

@@ -120,7 +120,7 @@ def desitter_chain(seed: int = 0) -> CriterionResult:
         worst = max(
             worst,
             abs(c.omega - 1.0),
-            nabla1_P(c, tol).closed_form_residual,
+            nabla1_P(c).closed_form_residual,
             residual(bundle.ricci["g"] - 3.0 * f.g, f.g),
             abs(bundle.scalar["g"] - 12.0) / 13.0,
             residual(bundle.ricci[1], f.g),

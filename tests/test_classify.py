@@ -1,8 +1,12 @@
 """Vector-field taxonomy, quasi-Einstein fits, and warped-product detection."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from concirc.analysis import run_analysis
+from concirc.catalog import build_case
 from concirc.classify import (
     RicciData,
     classify_point,
@@ -14,6 +18,7 @@ from concirc.classify import (
     perfect_fluid_kind,
     quasi_einstein_equivalences,
 )
+from concirc.config import apply_overrides, load_config
 from concirc.connection import build_connection
 from concirc.curvature import curvature_family
 from concirc.geometry import VectorFieldSpec
@@ -259,21 +264,74 @@ class TestWarpedProductDetection:
 class TestPointClassification:
     def test_full_report_on_warped_geometry(self):
         bundle = curvature_family(build_connection(DESITTER, P_TIME, PT))
-        rep = classify_point(DESITTER, P_TIME, PT, bundle)
+        rep = classify_point(DESITTER, P_TIME, bundle)
+        assert rep.point is bundle.frame.point
         assert rep.concircular
         assert rep.concircular_residual < 1e-12
         assert rep.grw.passes
-        assert rep.grw_identities is not None
-        assert rep.fluid is not None
         holds = {t: v.holds for t, v in rep.kinds.items()}
         assert holds == {"g": True, 0: False, 1: True, 2: True,
                          3: True, 4: False, 5: False}
 
     def test_detection_gated_sections_absent_off_condition(self):
         bundle = curvature_family(build_connection(MINKOWSKI, P_SPACE, PT))
-        rep = classify_point(MINKOWSKI, P_SPACE, PT, bundle)
+        rep = classify_point(MINKOWSKI, P_SPACE, bundle)
         assert not rep.concircular
         assert not rep.grw.passes
-        assert rep.grw_identities is None
-        assert rep.fluid is None
+        assert rep.grw.omega_is_one is None
         assert rep.taxonomy.parallel
+
+
+TAXONOMY_FLAGS = (
+    "torse_forming", "torqued", "concircular_fialkow", "concircular_yano",
+    "recurrent", "concurrent", "parallel", "self_torse_forming",
+    "anti_torqued", "geodesic", "unit_timelike", "unit_spacelike",
+    "conformal_killing", "killing",
+)
+# VERDICT rows the analysis takes from elsewhere than classify_point
+NOT_CLASSIFIED = {"omega", "fluid_regime", "eos_w"}
+
+
+def classification_rows(rep) -> dict:
+    """The VERDICT rows a ClassificationReport stands for, by row name."""
+    tax, qe = rep.taxonomy, rep.quasi_einstein
+    rows = {"concircular": rep.concircular,
+            "concircular_residual": rep.concircular_residual,
+            "generator_indeterminate": tax.indeterminate,
+            "quasi_einstein": qe.quasi_einstein,
+            "einstein": qe.einstein,
+            "qe_coefficient_a": qe.a,
+            "qe_coefficient_b": qe.b if qe.b_identifiable else None,
+            "grw": rep.grw.passes}
+    rows.update((flag, getattr(tax, flag)) for flag in TAXONOMY_FLAGS)
+    if not tax.indeterminate:
+        rows["omega_hat"] = tax.omega_hat
+        rows["conformal_factor"] = tax.conformal_factor
+    rows.update(("einstein_type_theta%s" % t, kind.holds)
+                for t, kind in rep.kinds.items())
+    return rows
+
+
+@pytest.mark.parametrize("source", ["grw-generic", "generic.cfg"])
+def test_analysis_verdicts_are_classify_point_fields(source):
+    """The CLI's verdicts are the library's, value for value."""
+    if source == "generic.cfg":
+        setup = load_config(Path(__file__).resolve().parents[1]
+                            / "perfbench" / "generic.cfg")
+    else:
+        setup = build_case(source)
+    setup = apply_overrides(setup, points=4)
+    report = run_analysis(setup)
+    emitted = {}
+    for v in report.verdicts:
+        if v.point >= 0:
+            emitted.setdefault(v.point, {})[v.name] = v.value
+    assert sorted(emitted) == list(range(4))
+    for idx, point in enumerate(report.points):
+        bundle = curvature_family(
+            build_connection(setup.metric, setup.vector, point))
+        want = classification_rows(
+            classify_point(setup.metric, setup.vector, bundle, setup.tol))
+        got = emitted[idx]
+        assert set(got) - NOT_CLASSIFIED == set(want)
+        assert {name: got[name] for name in want} == want

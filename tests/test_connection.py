@@ -98,22 +98,24 @@ class TestGeneratorCondition:
 
 class TestGeneratorDerivative:
     def test_vanishes_on_exponential_warp(self):
-        rep = nabla1_P(_conn(DESITTER, P_TIME, PT))
-        assert rep.applicable
+        c = _conn(DESITTER, P_TIME, PT)
+        rep = nabla1_P(c)
+        assert check_concircular(c).holds
         assert np.max(np.abs(rep.tensor)) < 1e-12
         assert rep.closed_form_residual < 1e-12
 
     def test_closed_form_on_power_law(self):
         c = _conn(FLRW_LINEAR, P_FLRW, PT_FLRW)
         rep = nabla1_P(c)
-        assert rep.applicable
+        assert check_concircular(c).holds
         expect = (c.omega + c.pi_P) * np.eye(4)
         assert np.max(np.abs(rep.tensor - expect)) < 1e-12
         assert rep.closed_form_residual < 1e-12
 
     def test_flat_translation_deviates(self):
-        rep = nabla1_P(_conn(MINKOWSKI, P_SPACE, PT))
-        assert not rep.applicable
+        c = _conn(MINKOWSKI, P_SPACE, PT)
+        rep = nabla1_P(c)
+        assert not check_concircular(c).holds
         assert rep.closed_form_residual == pytest.approx(0.375, abs=1e-14)
         expect = np.diag([1.0, 0.0, 1.0, 1.0])
         assert np.max(np.abs(rep.tensor - expect)) < 1e-14

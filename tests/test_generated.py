@@ -15,9 +15,10 @@ The analysis never calls ``classify.KINDS``, so (b) also checks it at the
 data level: E^theta and Ric minus its theta normal form are one tensor for
 any (g, Ric, pi), so their residuals must agree at every point.
 
-Every output also goes through the verdict lattice of test_lattice.py.  The
-draws are derandomized, so a tier-1 run is repeatable, and not shrunk: a
-failing example prints its whole config.
+Every output also goes through the verdict lattice of test_lattice.py and
+the abstract's implication (concircular, unit timelike and Lorentzian
+imply GRW).  The draws are derandomized, so a tier-1 run is repeatable,
+and not shrunk: a failing example prints its whole config.
 """
 
 import io
@@ -28,14 +29,15 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from concirc.analysis import gather_points, run_analysis
+from concirc.analysis import run_analysis
 from concirc.classify import KINDS, RicciData, quasi_einstein_equivalences
 from concirc.config import AnalysisSetup, parse_config
 from concirc.connection import build_connection
 from concirc.curvature import curvature_family
 from concirc.sampling import LCG
 from concirc.selftest import _random_pair
-from test_lattice import violations
+from test_lattice import (abstract_premises, abstract_violations,
+                          violations)
 
 _CHECK = re.compile(r"^CHECK (\w+) point=(-?\d+) residual=\S+ "
                     r"status=(PASS|FAIL)$", re.M)
@@ -77,10 +79,12 @@ def _statuses(out: str) -> dict:
     return found
 
 
-def _machine(setup: AnalysisSetup) -> str:
+def _machine(setup: AnalysisSetup):
+    """(the run's points, its machine output)."""
+    rep = run_analysis(setup)
     out = io.StringIO()
-    run_analysis(setup).render("machine", out)
-    return out.getvalue()
+    rep.render("machine", out)
+    return rep.points, out.getvalue()
 
 
 # -- (a) random regular pairs ----------------------------------------------
@@ -90,13 +94,15 @@ def _machine(setup: AnalysisSetup) -> str:
 def test_random_pairs_pass_every_unconditional_check(seed):
     coords = COORDS[4]
     metric, vector = _random_pair(LCG(seed), coords)
-    out = _machine(AnalysisSetup(coords, metric, vector, ((-1.0, 1.0),) * 4,
-                                 n_points=3, seed=seed & 0xFFFF))
+    points, out = _machine(AnalysisSetup(
+        coords, metric, vector, ((-1.0, 1.0),) * 4, n_points=3,
+        seed=seed & 0xFFFF))
     found = _statuses(out)
     assert UNCONDITIONAL <= set(found)
     assert {n: s for n, s in found.items() if n in UNCONDITIONAL
             and s != {"PASS"}} == {}
     assert violations(out) == []
+    assert abstract_violations(out, metric, points) == []
 
 
 # -- (b) concircular warped products ----------------------------------------
@@ -152,12 +158,16 @@ def warped_configs(draw, n: int, families):
 
 def _assert_passes(text: str, gated: frozenset):
     setup = parse_config(text)
-    out = _machine(setup)
+    points, out = _machine(setup)
     found = _statuses(out)
     assert set(found) == UNCONDITIONAL | gated, text
     assert {n: s for n, s in found.items() if s != {"PASS"}} == {}, text
     assert violations(out) == [], text
-    for point in gather_points(setup)[0]:
+    # the abstract's premise holds exactly where the generator is unit
+    premises = abstract_premises(out, setup.metric, points)
+    assert premises == ({i: "True" for i in range(len(points))}
+                        if GRW_GATED <= gated else {}), text
+    for point in points:
         data = RicciData.from_bundle(curvature_family(
             build_connection(setup.metric, setup.vector, point)))
         for theta in KINDS:
