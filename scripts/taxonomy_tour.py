@@ -11,6 +11,7 @@ import numpy as np
 
 from concirc.catalog import build_case
 from concirc.classify import classify_vector
+from concirc.connection import build_connection
 from concirc.geometry import MetricSpec, VectorFieldSpec
 
 ROWS = (
@@ -54,7 +55,8 @@ def gallery():
 def main() -> int:
     columns = list(gallery())
     names = [name for name, _ in columns]
-    taxa = [classify_vector(m, p, pt) for _, (m, p, pt) in columns]
+    taxa = [classify_vector(m, p, build_connection(m, p, pt))
+            for _, (m, p, pt) in columns]
 
     width = max(len(r) for r in ROWS) + 2
     colw = max(max(len(n) for n in names) + 2, 7)

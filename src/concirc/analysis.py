@@ -141,7 +141,7 @@ def _evaluate_point(rep: Report, setup: AnalysisSetup, point: np.ndarray):
         rep.check("generator_derivative", idx,
                   nabla1_P(c).closed_form_residual)
         rep.check("modified_lie_derivative", idx,
-                  lie_g_nonsym(c, setup.tol).theorem_residual)
+                  lie_g_nonsym(c).theorem_residual)
         for name, res in identity_suite(c).items():
             rep.check("identity_%s" % name, idx, res)
 

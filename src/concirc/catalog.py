@@ -106,6 +106,7 @@ def _case_grw(params):
     f = params.pop("f", "exp(t)")
     _restricted("f", f, ("t",))
     base = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    given = {}
     for key in list(params):
         if not key.startswith("base_"):
             continue
@@ -117,6 +118,10 @@ def _case_grw(params):
         val = params.pop(key)
         _restricted(key, val, _SPATIAL)
         i, j = _SPATIAL.index(bits[1]), _SPATIAL.index(bits[2])
+        first = given.setdefault(frozenset((i, j)), key)
+        if first != key:
+            raise CatalogError("base entry (%s, %s) set twice: %s and %s"
+                               % (bits[1], bits[2], first, key))
         base[i][j] = val
         base[j][i] = val
     _no_params("grw", params)

@@ -13,11 +13,16 @@ Three layers:
   plus the identity battery that structure implies (eigenvalue chain,
   parallel torsion, specialised Ricci forms, perfect-fluid coefficients).
 
-Tensor residuals follow the package policy (geometry.residual): max-norm
-over components divided by (1 + max |g_ij|) at the point, compared against a
-single tolerance.  Scalar invariants (omega, pi(P), eta(P), the conformal
-factor, r) are compared with geometry.close, whose threshold does not
-depend on the size of g.
+Three size rules, each against the one tolerance tol:
+
+* tensors by geometry.residual: max-norm over components divided by
+  (1 + max |g_ij|) at the point;
+* scalars (omega, pi(P), eta(P), the conformal factor, r) by geometry.close,
+  whose threshold does not depend on the size of g;
+* vectors and 1-forms (P; eta, eta - pi, eta + omega pi and pi itself) by
+  their |g|-length, sqrt(P^T |g| P) or sqrt(v^T |g|^-1 v) with
+  |g| = V |Lambda| V^T from eigh(g), which depends neither on the chart's
+  scale nor on its signature.
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ class VectorTaxonomy(NamedTuple):
     geodesic: bool | None = None
     unit_timelike: bool | None = None
     unit_spacelike: bool | None = None
-    unit_form_residual: float | None = None   # nabla pi = w (g - eps pi pi)
     conformal_killing: bool | None = None
     conformal_factor: float | None = None
     killing: bool | None = None
@@ -82,10 +86,15 @@ def _fit_torse(nabla_p: np.ndarray, P: np.ndarray):
     return float(sol[0]), sol[1:]
 
 
-def classify_vector(m: MetricSpec, p: VectorFieldSpec, point,
-                    tol: float = 1e-8,
-                    conn: SSConnection | None = None) -> VectorTaxonomy:
-    c = conn if conn is not None else build_connection(m, p, point)
+def _form_small(v: np.ndarray, lam: np.ndarray, V: np.ndarray,
+                tol: float) -> bool:
+    """sqrt(v^T |g|^-1 v) <= tol for a 1-form v, |g|^-1 = V |Lambda|^-1 V^T."""
+    return bool(np.sqrt(((V.T @ v) ** 2) @ (1.0 / np.abs(lam))) <= tol)
+
+
+def classify_vector(m: MetricSpec, p: VectorFieldSpec, c: SSConnection,
+                    tol: float = 1e-8) -> VectorTaxonomy:
+    """Taxonomy of c's generator; m and p rebuild c nearby for d eta."""
     f = c.frame
     # vanishing P: sqrt(P^T |g| P) with |g| = V |Lambda| V^T, a length that
     # does not depend on the chart's scale or signature
@@ -98,7 +107,7 @@ def classify_vector(m: MetricSpec, p: VectorFieldSpec, point,
     fit_res = residual(M - w * np.eye(c.n) - np.outer(c.P, eta), f.g)
     torse = fit_res <= tol
 
-    eta_small = residual(eta, f.g) <= tol
+    eta_small = _form_small(eta, lam, V, tol)
     w_zero = close(w, 0.0, tol)
     w_one = close(w, 1.0, tol)
     eta_P = float(eta @ c.P)
@@ -111,18 +120,6 @@ def classify_vector(m: MetricSpec, p: VectorFieldSpec, point,
 
         deta = fd_jacobian(eta_field, f.point)  # [i, a] = del_a eta_i
         yano = residual(deta - deta.T, f.g) <= tol
-
-    geodesic = residual(np.einsum("ki,i->k", M, c.P), f.g) <= tol
-
-    pi_P = c.pi_P
-    timelike = close(pi_P, -1.0, tol)
-    spacelike = close(pi_P, 1.0, tol)
-    unit_form = None
-    if timelike or spacelike:
-        eps = 1.0 if spacelike else -1.0
-        npi = c.nabla_pi().T  # [a, i] = (nabla_a pi)_i
-        unit_form = residual(npi - w * (f.g - eps * np.outer(c.pi, c.pi)),
-                             f.g)
 
     lie_g = c.lie_P_g()
     factor = float(np.einsum("ij,ij->", f.ginv, lie_g)) / (2.0 * c.n)
@@ -141,12 +138,11 @@ def classify_vector(m: MetricSpec, p: VectorFieldSpec, point,
         recurrent=torse and w_zero,
         concurrent=torse and eta_small and w_one,
         parallel=torse and eta_small and w_zero,
-        self_torse_forming=torse and residual(eta - c.pi, f.g) <= tol,
-        anti_torqued=torse and residual(eta + w * c.pi, f.g) <= tol,
-        geodesic=geodesic,
-        unit_timelike=timelike,
-        unit_spacelike=spacelike,
-        unit_form_residual=unit_form,
+        self_torse_forming=torse and _form_small(eta - c.pi, lam, V, tol),
+        anti_torqued=torse and _form_small(eta + w * c.pi, lam, V, tol),
+        geodesic=residual(np.einsum("ki,i->k", M, c.P), f.g) <= tol,
+        unit_timelike=close(c.pi_P, -1.0, tol),
+        unit_spacelike=close(c.pi_P, 1.0, tol),
         conformal_killing=conformal,
         conformal_factor=factor,
         killing=conformal and close(factor, 0.0, tol),
@@ -214,7 +210,8 @@ def classify_quasi_einstein(d: RicciData, tol: float = 1e-8) -> QuasiEinsteinFit
     """Least-squares Ric = a g + b pi x pi with an Einstein special case."""
     pp = np.outer(d.pi, d.pi)
     gg = float(np.sum(d.g * d.g))
-    if residual(d.pi, d.g) <= tol:
+    lam, V = np.linalg.eigh(d.g)
+    if _form_small(d.pi, lam, V, tol):
         a = float(np.sum(d.g * d.ric)) / gg
         b, identifiable = 0.0, False
     else:
@@ -230,28 +227,16 @@ def classify_quasi_einstein(d: RicciData, tol: float = 1e-8) -> QuasiEinsteinFit
                             einstein, identifiable)
 
 
-def _einstein_theta_from_data(theta, d: RicciData) -> np.ndarray:
-    """E^theta from (g, Ric, pi) through the traceless-tensor relations."""
-    e_g = d.ric - (d.r / d.n) * d.g
-    return einstein_closed_form(theta, e_g, d.g, d.pi, d.pi_P)
-
-
 class KindVerdict(NamedTuple):
-    theta: object
     residual: float
     holds: bool
 
 
-def einstein_type(theta, source, tol: float = 1e-8) -> KindVerdict:
-    """Does E^theta vanish?  ``source`` is a CurvatureBundle or RicciData."""
-    if isinstance(source, CurvatureBundle):
-        g = source.frame.g
-        e = source.einstein[theta]
-    else:
-        g = source.g
-        e = _einstein_theta_from_data(theta, source)
-    res = residual(e, g)
-    return KindVerdict(theta, res, res <= tol)
+def einstein_type(theta, bundle: CurvatureBundle,
+                  tol: float = 1e-8) -> KindVerdict:
+    """Does E^theta vanish?"""
+    res = residual(bundle.einstein[theta], bundle.frame.g)
+    return KindVerdict(res, res <= tol)
 
 
 # E^theta = 0 iff Ric = a g + b pi x pi.  theta -> (a(n, r, pi(P)), b(n),
@@ -273,7 +258,6 @@ KINDS = {
 class EquivalenceReport(NamedTuple):
     """Both directions of `E^theta = 0 iff Ric has the theta normal form`."""
 
-    theta: int
     e_residual: float
     form_residual: float
     e_holds: bool
@@ -290,7 +274,8 @@ def quasi_einstein_equivalences(theta: int, d: RicciData,
         raise ValueError("equivalences are stated for families 0, 4, 5")
     a_of, b_of, r_of = KINDS[theta]
     n, r, pP = d.n, d.r, d.pi_P
-    e_res = residual(_einstein_theta_from_data(theta, d), d.g)
+    e_g = d.ric - (r / n) * d.g  # E^theta from data, no curvature bundle
+    e_res = residual(einstein_closed_form(theta, e_g, d.g, d.pi, pP), d.g)
     form = a_of(n, r, pP) * d.g + b_of(n) * np.outer(d.pi, d.pi)
     form_res = residual(d.ric - form, d.g)
     e_holds, form_holds = e_res <= tol, form_res <= tol
@@ -300,7 +285,7 @@ def quasi_einstein_equivalences(theta: int, d: RicciData,
     if close(pP, -1.0, tol):
         kind_r = r_of(n)
         kind_match = close(r, kind_r, tol)
-    return EquivalenceReport(theta, e_res, form_res, e_holds, form_holds,
+    return EquivalenceReport(e_res, form_res, e_holds, form_holds,
                              e_holds == form_holds, kind_r, r,
                              kind_match if form_holds else None)
 
@@ -315,8 +300,6 @@ class GRWReport(NamedTuple):
     unit_timelike: bool
     generator_residual: float     # nabla_X P - X - pi(X) P
     passes: bool
-    omega: float
-    omega_is_one: bool | None
 
 
 def grw_detect(c: SSConnection, tol: float = 1e-8) -> GRWReport:
@@ -325,8 +308,7 @@ def grw_detect(c: SSConnection, tol: float = 1e-8) -> GRWReport:
     unit = close(c.pi_P, -1.0, tol)
     gen_res = residual(c.nabla_P() - np.eye(c.n) - np.outer(c.P, c.pi), f.g)
     passes = lorentzian and unit and gen_res <= tol
-    return GRWReport(lorentzian, unit, gen_res, passes, c.omega,
-                     close(c.omega, 1.0, tol) if passes else None)
+    return GRWReport(lorentzian, unit, gen_res, passes)
 
 
 def grw_identity_suite(bundle: CurvatureBundle) -> dict:
@@ -373,8 +355,7 @@ class FluidKindReport(NamedTuple):
     """Per-family quasi-Einstein fits with the GRW coefficient identities."""
 
     fits: dict                     # theta -> QuasiEinsteinFit
-    a_minus_b: float               # for the Levi-Civita family
-    a_minus_b_holds: bool          # == n - 1
+    a_minus_b: float               # n - 1 for the Levi-Civita family
     rewrite_residual: float        # a = r/(n-1) - 1, b = r/(n-1) - n
 
 
@@ -391,9 +372,7 @@ def perfect_fluid_kind(bundle: CurvatureBundle,
     r = bundle.scalar["g"]
     rewrite = max(abs(fg.a - (r / (n - 1.0) - 1.0)),
                   abs(fg.b - (r / (n - 1.0) - n)))
-    return FluidKindReport(fits, amb,
-                           close(amb, n - 1.0, tol),
-                           rewrite / (1.0 + abs(r)))
+    return FluidKindReport(fits, amb, rewrite / (1.0 + abs(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +381,6 @@ def perfect_fluid_kind(bundle: CurvatureBundle,
 
 
 class ClassificationReport(NamedTuple):
-    point: np.ndarray
     concircular: bool
     concircular_residual: float
     taxonomy: VectorTaxonomy
@@ -415,11 +393,10 @@ def classify_point(m: MetricSpec, p: VectorFieldSpec, bundle: CurvatureBundle,
                    tol: float = 1e-8) -> ClassificationReport:
     """Every per-point verdict on (g, P); the analysis emits these rows."""
     c = bundle.connection
-    point = c.frame.point
     conc = check_concircular(c, tol)
     return ClassificationReport(
-        point, conc.holds, conc.residual,
-        classify_vector(m, p, point, tol, conn=c),
+        conc.holds, conc.residual,
+        classify_vector(m, p, c, tol),
         classify_quasi_einstein(RicciData.from_bundle(bundle), tol),
         {t: einstein_type(t, bundle, tol) for t in THETAS},
         grw_detect(c, tol))

@@ -112,7 +112,6 @@ class ConditionReport(NamedTuple):
 
     residual: float
     holds: bool
-    detail: dict
 
 
 def check_concircular(c: SSConnection, tol: float = 1e-8) -> ConditionReport:
@@ -121,8 +120,7 @@ def check_concircular(c: SSConnection, tol: float = 1e-8) -> ConditionReport:
            - np.outer(c.pi, c.pi)
            - c.omega * c.frame.g)
     res = residual(dev, c.frame.g)
-    return ConditionReport(res, res <= tol,
-                           {"omega": c.omega, "pi_P": c.pi_P})
+    return ConditionReport(res, res <= tol)
 
 
 def s_concircular_check(c: SSConnection, tol: float = 1e-8) -> ConditionReport:
@@ -133,7 +131,7 @@ def s_concircular_check(c: SSConnection, tol: float = 1e-8) -> ConditionReport:
     mu = c.omega + 0.5 * c.pi_P
     dev = s - mu * c.frame.g
     res = residual(dev, c.frame.g)
-    return ConditionReport(res, res <= tol, {"mu": mu})
+    return ConditionReport(res, res <= tol)
 
 
 class GeneratorDerivative(NamedTuple):
@@ -188,14 +186,10 @@ class ConformalReport(NamedTuple):
     """Behaviour of g under the generator flow seen through nabla1."""
 
     lie1_g: np.ndarray
-    fitted_factor: float
-    fit_residual: float
     theorem_residual: float   # against 2 (omega + pi(P)) g
-    conformal: bool
-    killing: bool
 
 
-def lie_g_nonsym(c: SSConnection, tol: float = 1e-8) -> ConformalReport:
+def lie_g_nonsym(c: SSConnection) -> ConformalReport:
     """(L1_P g)(X,Y) = (nabla1_P g)(X,Y) + g(nabla1_X P, Y) + g(X, nabla1_Y P).
 
     Evaluated termwise from the display, not from the closed form, so it
@@ -206,9 +200,5 @@ def lie_g_nonsym(c: SSConnection, tol: float = 1e-8) -> ConformalReport:
     lie1 = (np.einsum("ija,a->ij", c.nabla1_g(), c.P)
             + np.einsum("kj,ki->ij", f.g, n1P)
             + np.einsum("ik,kj->ij", f.g, n1P))
-    factor = float(np.einsum("ij,ij->", f.ginv, lie1)) / (2.0 * c.n)
-    fit_res = residual(lie1 - 2.0 * factor * f.g, f.g)
-    thm_res = residual(lie1 - 2.0 * (c.omega + c.pi_P) * f.g, f.g)
-    conformal = fit_res <= tol
-    return ConformalReport(lie1, factor, fit_res, thm_res,
-                           conformal, conformal and abs(factor) <= tol)
+    return ConformalReport(
+        lie1, residual(lie1 - 2.0 * (c.omega + c.pi_P) * f.g, f.g))

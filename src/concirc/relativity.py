@@ -125,8 +125,6 @@ class PhantomReport(NamedTuple):
     "ordinary".
     """
 
-    sigma: float
-    p: float
     w: float | None
     at_barrier: bool
     regime: str
@@ -136,7 +134,7 @@ def phantom_verdict(sigma: float, p: float, tol: float = 1e-8) -> PhantomReport:
     scale = 1.0 + abs(sigma) + abs(p)
     at_barrier = abs(sigma + p) <= tol * scale
     if abs(sigma) <= tol * scale:
-        return PhantomReport(sigma, p, None, at_barrier, "undefined")
+        return PhantomReport(None, at_barrier, "undefined")
     w = p / sigma
     if at_barrier:
         regime = "barrier"
@@ -144,4 +142,4 @@ def phantom_verdict(sigma: float, p: float, tol: float = 1e-8) -> PhantomReport:
         regime = "phantom"
     else:
         regime = "ordinary"
-    return PhantomReport(sigma, p, w, at_barrier, regime)
+    return PhantomReport(w, at_barrier, regime)

@@ -150,9 +150,6 @@ class Report:
             raise ValueError("unknown format %r" % fmt)
 
     def _machine(self, write):
-        if not self.checks and not self.verdicts:
-            write("\n")                   # an empty report is one blank line
-            return
         for c in self.checks:
             write(c.machine() + "\n")
         for v in self.verdicts:

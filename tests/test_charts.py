@@ -8,11 +8,11 @@ map, X = J^-1 (x - s), and given as explicit points, so both runs evaluate
 the same points of the same spacetime.  Every boolean VERDICT must agree
 point by point, and neither run may FAIL a CHECK.
 
-Two maps are left out because they fail today (ROADMAP item 9): a boost of
-rapidity 3 (bug C: verdicts differ and CHECK families FAIL), and the de
-Sitter isometry at c = 10 or 15, where max|g| ~ e^(2c) makes the tensor
-test |eta| <= tol (1 + max|g|) call the unit 1-form eta = pi small, so
-``concircular_fialkow``, ``concurrent`` and ``anti_torqued`` turn True.
+The de Sitter isometry T = t + c, X^i = e^-c x^i at c up to 15 makes
+max|g| ~ e^(2c); it is an isometry of ``desitter-flat`` and a valid chart of
+``grw-generic``.  It passes because 1-forms are judged by their |g|-length.
+One map is left out because it fails today (ROADMAP item 9(b2)): a boost of
+rapidity 3 (bug C: verdicts differ and CHECK families FAIL).
 """
 
 import functools
@@ -76,7 +76,8 @@ CHARTS = {
 # (builtin, chart name, (J, shift))
 CASES = [(name, chart, CHARTS[chart])
          for name in ("desitter-flat", "grw-generic") for chart in CHARTS]
-CASES.append(("desitter-flat", "isometry_5", _desitter_isometry(5.0)))
+CASES += [(name, "isometry_%d" % c, _desitter_isometry(float(c)))
+          for name in ("desitter-flat", "grw-generic") for c in (5, 9, 10, 15)]
 
 
 def pullback(setup, J: np.ndarray, shift: np.ndarray, points) -> str:

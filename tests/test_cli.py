@@ -86,6 +86,14 @@ class TestRejectedInput:
         for name in names:
             assert name in err
 
+    def test_grw_base_entry_given_twice_exits_two_and_names_both_keys(
+            self, capsys):
+        code, out, err = _run(["builtin", "grw", "--param", "base_x_y=0.1",
+                               "--param", "base_y_x=0.2"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: base entry (y, x) set twice")
+        assert "base_x_y" in err and "base_y_x" in err
+
     @pytest.mark.parametrize("old,new", [
         ("bounds_t = -0.5 0.5", "bounds_t = nan 0.5"),
         ("point = 0.3 0.4 -0.2 0.7", "point = inf 0.4 -0.2 0.7"),

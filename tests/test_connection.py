@@ -67,7 +67,6 @@ class TestGeneratorCondition:
         rep = check_concircular(_conn(DESITTER, P_TIME, PT))
         assert rep.holds
         assert rep.residual < 1e-12
-        assert rep.detail["omega"] == pytest.approx(1.0, abs=1e-12)
 
     def test_power_law_generator_passes(self):
         rep = check_concircular(_conn(FLRW_LINEAR, P_FLRW, PT_FLRW))
@@ -92,8 +91,6 @@ class TestGeneratorCondition:
             b = s_concircular_check(c)
             assert a.holds == b.holds
             assert a.residual == pytest.approx(b.residual, abs=1e-14)
-            assert b.detail["mu"] == pytest.approx(
-                c.omega + 0.5 * c.pi_P, abs=1e-14)
 
 
 class TestGeneratorDerivative:
@@ -127,27 +124,16 @@ class TestGeneratorFlow:
         rep = lie_g_nonsym(c)
         expect = 2.0 * (c.frame.g - np.outer(c.pi, c.pi))
         assert np.max(np.abs(rep.lie1_g - expect)) < 1e-14
-        assert rep.fitted_factor == pytest.approx(0.75, abs=1e-14)
-        assert rep.fit_residual == pytest.approx(0.75, abs=1e-14)
         assert rep.theorem_residual == pytest.approx(0.75, abs=1e-14)
-        assert not rep.conformal
-        assert not rep.killing
 
     def test_exponential_warp_is_stationary(self):
         rep = lie_g_nonsym(_conn(DESITTER, P_TIME, PT))
         assert np.max(np.abs(rep.lie1_g)) < 1e-12
-        assert abs(rep.fitted_factor) < 1e-13
-        assert rep.conformal
-        assert rep.killing
 
     def test_power_law_factor_matches_trace_data(self):
         c = _conn(FLRW_LINEAR, P_FLRW, PT_FLRW)
         rep = lie_g_nonsym(c)
-        assert rep.fitted_factor == pytest.approx(
-            c.omega + c.pi_P, abs=1e-12)
         assert rep.theorem_residual < 1e-10
-        assert rep.conformal
-        assert not rep.killing
 
 
 class TestIdentitySuite:

@@ -207,11 +207,6 @@ class TestRendering:
         with pytest.raises(ValueError):
             _sample_report().render("json", io.StringIO())
 
-    def test_empty_machine_report_is_one_blank_line(self):
-        rep = Report(tol=1e-8)
-        rep.aggregate()
-        assert _rendered(rep, "machine") == "\n"
-
 
 class _Discard:
     """A write-only sink that keeps nothing."""
