@@ -15,7 +15,8 @@ import argparse
 import numpy as np
 
 from concirc.catalog import BUILTIN_NAMES, build_case
-from concirc.classify import grw_detect, perfect_fluid_kind
+from concirc.classify import (RicciData, classify_quasi_einstein, grw_detect,
+                              perfect_fluid_kind)
 from concirc.connection import build_connection, check_concircular, nabla1_P
 from concirc.curvature import (
     THETAS,
@@ -68,8 +69,8 @@ def main() -> int:
               % (theta, bundle.scalar[theta], closed_r, dev))
 
     if grw.passes:
-        fluid_kind = perfect_fluid_kind(bundle)
-        fg = fluid_kind.fits["g"]
+        fg = classify_quasi_einstein(RicciData.from_bundle(bundle))
+        fluid_kind = perfect_fluid_kind(bundle, fg)
         print("\nquasi-Einstein (Levi-Civita family)")
         print("  a = %+.9f  b = %+.9f  a - b = %+.9f (expect %d)"
               % (fg.a, fg.b, fluid_kind.a_minus_b, c.n - 1))

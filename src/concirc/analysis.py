@@ -154,7 +154,7 @@ def _evaluate_point(rep: Report, setup: AnalysisSetup, point: np.ndarray):
                   residual(div_pi_pi(c) - (c.n - 1.0) * c.pi, f.g))
         # a GRW spacetime is a perfect fluid only when Ric = a g + b pi x pi
         if qe.quasi_einstein:
-            fluid_kind = perfect_fluid_kind(bundle, setup.tol)
+            fluid_kind = perfect_fluid_kind(bundle, qe)
             rep.check("grw_fluid_coefficients", idx,
                       max(abs(fluid_kind.a_minus_b - (c.n - 1.0)) / c.n,
                           fluid_kind.rewrite_residual))

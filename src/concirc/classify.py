@@ -191,10 +191,10 @@ class RicciData:
         return float(self.pi @ self.ginv @ self.pi)
 
     @staticmethod
-    def from_bundle(bundle: CurvatureBundle, theta="g") -> "RicciData":
-        """Family ``theta``'s data, reusing the frame's g^-1 (same bits)."""
+    def from_bundle(bundle: CurvatureBundle) -> "RicciData":
+        """Levi-Civita data, reusing the frame's g^-1 (same bits)."""
         c = bundle.connection
-        return RicciData(c.frame.g, bundle.ricci[theta], c.pi, c.frame.ginv)
+        return RicciData(c.frame.g, bundle.ricci["g"], c.pi, c.frame.ginv)
 
 
 class QuasiEinsteinFit(NamedTuple):
@@ -352,27 +352,20 @@ def grw_identity_suite(bundle: CurvatureBundle) -> dict:
 
 
 class FluidKindReport(NamedTuple):
-    """Per-family quasi-Einstein fits with the GRW coefficient identities."""
+    """The GRW coefficient identities on the Levi-Civita fit."""
 
-    fits: dict                     # theta -> QuasiEinsteinFit
-    a_minus_b: float               # n - 1 for the Levi-Civita family
+    a_minus_b: float               # n - 1 at a GRW point
     rewrite_residual: float        # a = r/(n-1) - 1, b = r/(n-1) - n
 
 
 def perfect_fluid_kind(bundle: CurvatureBundle,
-                       tol: float = 1e-8) -> FluidKindReport:
-    c = bundle.connection
-    n = c.n
-    fits = {}
-    for t in ("g", 0, 1, 2, 3, 4, 5):
-        fits[t] = classify_quasi_einstein(RicciData.from_bundle(bundle, t),
-                                          tol)
-    fg = fits["g"]
-    amb = fg.a - fg.b
+                       fit: QuasiEinsteinFit) -> FluidKindReport:
+    """fit is classify_quasi_einstein on RicciData.from_bundle(bundle)."""
+    n = bundle.n
     r = bundle.scalar["g"]
-    rewrite = max(abs(fg.a - (r / (n - 1.0) - 1.0)),
-                  abs(fg.b - (r / (n - 1.0) - n)))
-    return FluidKindReport(fits, amb, rewrite / (1.0 + abs(r)))
+    rewrite = max(abs(fit.a - (r / (n - 1.0) - 1.0)),
+                  abs(fit.b - (r / (n - 1.0) - n)))
+    return FluidKindReport(fit.a - fit.b, rewrite / (1.0 + abs(r)))
 
 
 # ---------------------------------------------------------------------------

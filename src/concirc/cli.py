@@ -6,7 +6,8 @@
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 the input
 could not be used (config syntax, unknown builtin, bad parameter or
-override, no point to evaluate, metric singular everywhere, ...).
+override, no point to evaluate, metric singular everywhere, a value that
+is not finite at a point, ...).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from .analysis import run_analysis
 from .catalog import BUILTIN_NAMES, build_case
 from .config import apply_overrides, load_config
 
-# ConfigError, CatalogError, AnalysisError and ExprError are ValueErrors
+# ConfigError, CatalogError, AnalysisError, ExprError and NonFiniteError are
+# ValueErrors
 _USAGE_ERRORS = (OSError, ValueError)
 
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import (MetricSpec, PointFrame, VectorFieldSpec, frame_at,
-                       residual)
+                       require_finite, residual)
 
 
 class SSConnection(NamedTuple):
@@ -85,7 +85,9 @@ class SSConnection(NamedTuple):
 def build_connection(m: MetricSpec, p: VectorFieldSpec, point) -> SSConnection:
     frame = frame_at(m, point)
     n = frame.n
-    P, dP = p.jets(frame.point)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P, dP = p.jets(frame.point)
+    require_finite("generator jet", frame.point, P, dP)
     pi = frame.g @ P
     dpi = np.einsum("ija,j->ia", frame.dg, P) + frame.g @ dP
     eye = np.eye(n)

@@ -28,7 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .connection import SSConnection
-from .geometry import residual, ricci_from_riemann, riemann_from_gamma
+from .geometry import (require_finite, residual, ricci_from_riemann,
+                       riemann_from_gamma)
 
 THETAS = ("g", 0, 1, 2, 3, 4, 5)
 
@@ -71,21 +72,23 @@ def torsion_squares(c: SSConnection):
 def curvature_family(c: SSConnection) -> CurvatureBundle:
     f = c.frame
     n = c.n
-    nt = nabla1_torsion(c)
-    add_xt = np.einsum("ljki->lkij", nt)   # (nabla1_X T)(Y, Z)
-    add_yt = np.einsum("likj->lkij", nt)   # (nabla1_Y T)(X, Z)
-    f_xyz, cyc, f_zxy = torsion_squares(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nt = nabla1_torsion(c)
+        add_xt = np.einsum("ljki->lkij", nt)   # (nabla1_X T)(Y, Z)
+        add_yt = np.einsum("likj->lkij", nt)   # (nabla1_Y T)(X, Z)
+        f_xyz, cyc, f_zxy = torsion_squares(c)
 
-    r1 = riemann_from_gamma(c.gamma1, c.dgamma1)
-    riem = {
-        "g": riemann_from_gamma(f.gamma, f.dgamma),
-        0: r1 - 0.5 * add_xt + 0.5 * add_yt - 0.25 * cyc - 0.25 * f_xyz,
-        1: r1,
-        2: r1 - add_xt + add_yt - cyc,
-        3: r1 + add_yt,
-        4: r1 + add_yt - f_xyz,
-        5: r1 - 0.5 * add_xt + 0.5 * add_yt - 0.5 * cyc + 0.5 * f_zxy,
-    }
+        r1 = riemann_from_gamma(c.gamma1, c.dgamma1)
+        riem = {
+            "g": riemann_from_gamma(f.gamma, f.dgamma),
+            0: r1 - 0.5 * add_xt + 0.5 * add_yt - 0.25 * cyc - 0.25 * f_xyz,
+            1: r1,
+            2: r1 - add_xt + add_yt - cyc,
+            3: r1 + add_yt,
+            4: r1 + add_yt - f_xyz,
+            5: r1 - 0.5 * add_xt + 0.5 * add_yt - 0.5 * cyc + 0.5 * f_zxy,
+        }
+    require_finite("Riemann tensor", f.point, *riem.values())
     ricci = {t: ricci_from_riemann(r) for t, r in riem.items()}
     scalar = {t: float(np.einsum("ab,ab->", f.ginv, r))
               for t, r in ricci.items()}

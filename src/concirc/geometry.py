@@ -35,6 +35,22 @@ class SingularMetricError(ArithmeticError):
 DET_FLOOR = 1e-12
 
 
+class NonFiniteError(ValueError):
+    """A stage of the evaluation at a point produced an inf or a nan."""
+
+
+def require_finite(stage: str, point, *arrays) -> None:
+    """Raise NonFiniteError, naming the stage and the point, on inf or nan.
+
+    The stages run under np.errstate(over="ignore", invalid="ignore"): this
+    check, not numpy's warning, is what stops a non-finite value.
+    """
+    if not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
+        raise NonFiniteError(
+            "%s is not finite at point %s"
+            % (stage, " ".join(repr(float(x)) for x in point)))
+
+
 class MetricSpec(NamedTuple):
     """Symmetric matrix of coordinate expressions for the metric."""
 
@@ -134,7 +150,6 @@ class PointFrame(NamedTuple):
     ginv: np.ndarray
     signature: tuple  # eigenvalue signs of g, sorted ascending
     dg: np.ndarray
-    d2g: np.ndarray
     gamma: np.ndarray
     dgamma: np.ndarray
 
@@ -169,18 +184,21 @@ def dchristoffel(ginv: np.ndarray, dg: np.ndarray,
 
 def frame_at(m: MetricSpec, point) -> PointFrame:
     point = np.asarray(point, dtype=float)
-    g, dg, d2g = m.jets(point)
-    det = float(np.linalg.det(g))
-    if abs(det) <= DET_FLOOR:
-        raise SingularMetricError(
-            "metric is singular at %s (det=%r)" % (point.tolist(), det))
-    ginv = np.linalg.inv(g)
-    ginv = 0.5 * (ginv + ginv.T)
-    signature = tuple(int(np.sign(w)) for w in np.linalg.eigvalsh(g))
-    gamma = christoffel(ginv, dg)
-    dgamma = dchristoffel(ginv, dg, d2g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, dg, d2g = m.jets(point)
+        require_finite("metric jet", point, g, dg, d2g)
+        det = float(np.linalg.det(g))
+        if abs(det) <= DET_FLOOR:
+            raise SingularMetricError(
+                "metric is singular at %s (det=%r)" % (point.tolist(), det))
+        ginv = np.linalg.inv(g)
+        ginv = 0.5 * (ginv + ginv.T)
+        signature = tuple(int(np.sign(w)) for w in np.linalg.eigvalsh(g))
+        gamma = christoffel(ginv, dg)
+        dgamma = dchristoffel(ginv, dg, d2g)
+    require_finite("Christoffel jet", point, gamma, dgamma)
     return PointFrame(m.coords, point, g, ginv, signature,
-                      dg, d2g, gamma, dgamma)
+                      dg, gamma, dgamma)
 
 
 def riemann_from_gamma(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:

@@ -42,28 +42,20 @@ class Jet2:
     def is_constant(self) -> bool:
         return not self.grad.any() and not self.hess.any()
 
-    # -- ring operations ----------------------------------------------------
+    # -- ring operations: both operands are jets ----------------------------
 
     def __add__(self, other):
-        other = _coerce(other, self.n)
         return Jet2(self.value + other.value, self.grad + other.grad,
                     self.hess + other.hess)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return Jet2(-self.value, -self.grad, -self.hess)
 
     def __sub__(self, other):
-        other = _coerce(other, self.n)
         return Jet2(self.value - other.value, self.grad - other.grad,
                     self.hess - other.hess)
 
-    def __rsub__(self, other):
-        return _coerce(other, self.n) - self
-
     def __mul__(self, other):
-        other = _coerce(other, self.n)
         cross = np.outer(self.grad, other.grad)
         return Jet2(
             self.value * other.value,
@@ -71,21 +63,14 @@ class Jet2:
             self.value * other.hess + other.value * self.hess + cross + cross.T,
         )
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = _coerce(other, self.n)
         if other.value == 0.0:
             raise JetDomainError("division by zero")
         return self * _lift(other, 1.0 / other.value,
                             -1.0 / other.value ** 2,
                             2.0 / other.value ** 3)
 
-    def __rtruediv__(self, other):
-        return _coerce(other, self.n) / self
-
     def __pow__(self, other):
-        other = _coerce(other, self.n)
         if other.is_constant() and float(other.value).is_integer() \
                 and abs(other.value) <= 2 ** 31:
             return _int_pow(self, int(other.value))
@@ -93,15 +78,6 @@ class Jet2:
             raise JetDomainError(
                 "non-integer power of a non-positive base (%r)" % self.value)
         return exp(other * log(self))
-
-    def __rpow__(self, other):
-        return _coerce(other, self.n) ** self
-
-
-def _coerce(x, n: int) -> Jet2:
-    if isinstance(x, Jet2):
-        return x
-    return Jet2.constant(float(x), n)
 
 
 def _lift(x: Jet2, f: float, df: float, d2f: float) -> Jet2:

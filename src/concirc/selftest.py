@@ -150,7 +150,8 @@ def grw_identity_battery(seed: int = 0) -> CriterionResult:
         c = build_connection(case.metric, case.vector, pt)
         bundle = curvature_family(c)
         suite = grw_identity_suite(bundle)
-        fluid_kind = perfect_fluid_kind(bundle, tol)
+        qe = classify_quasi_einstein(RicciData.from_bundle(bundle), tol)
+        fluid_kind = perfect_fluid_kind(bundle, qe)
         worst = max(worst,
                     max(suite.values()),
                     residual(div_pi_pi(c) - (c.n - 1.0) * c.pi, c.frame.g),

@@ -1,5 +1,9 @@
-"""The tier-1 workflow's failure filter, run on small JUnit reports."""
+"""The tier-1 workflow's checks: the failure filter, run on small JUnit
+reports, and the benchmark digest replay, judged on synthetic stdout."""
 
+import functools
+import hashlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +36,44 @@ def test_an_extra_failure_or_error_fails_and_is_named(tmp_path):
                         'name="test_extra"><%s/></testcase>' % kind)
         assert res.returncode == 1, kind
         assert "unexpected: ['tests.test_report::test_extra']" in res.stdout
+
+
+@functools.lru_cache(maxsize=None)
+def _replay_script():
+    spec = importlib.util.spec_from_file_location(
+        "check_bench_golden", ROOT / ".github" / "check_bench_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _replay(outputs: dict, golden_seeds=None):
+    """Replay one synthetic workload whose seed-s run gives outputs[s]."""
+    script = _replay_script()
+    run = script.run
+    work = run.Workload("fake", lambda s: [], 0, lambda out: [])
+    seeds = run.GATE_SEEDS if golden_seeds is None else golden_seeds
+    golden = {"fake": {str(s): {"exit": 0, "sha256": hashlib.sha256(
+        b"row %d\n" % s).hexdigest()} for s in seeds}}
+    return script.replay([work], golden, lambda w, s: outputs[s])
+
+
+def test_replay_passes_only_the_recorded_bytes_and_exit(capsys):
+    seeds = _replay_script().run.GATE_SEEDS
+    good = {s: (0, b"row %d\n" % s) for s in seeds}
+    assert _replay(good) == 0
+    assert capsys.readouterr().out.count(": ok\n") == len(seeds)
+    last = seeds[-1]
+    for wrong in ((0, b"row %d \n" % last), (1, b"row %d\n" % last)):
+        assert _replay({**good, last: wrong}) == 1
+        out = capsys.readouterr().out
+        assert "fake seed %d: exit" % last in out
+        assert "fake seed %d: ok" % seeds[0] in out
+
+
+def test_replay_fails_a_seed_with_no_record(capsys):
+    seeds = _replay_script().run.GATE_SEEDS
+    good = {s: (0, b"row %d\n" % s) for s in seeds}
+    assert _replay(good, golden_seeds=seeds[:1]) == 1
+    assert ("fake seed %d: no recorded digest" % seeds[-1]
+            in capsys.readouterr().out)

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from concirc.analysis import run_analysis
+from concirc import classify
+from concirc.analysis import _evaluate_point, gather_points, run_analysis
 from concirc.catalog import build_case
 from concirc.classify import (
     RicciData,
@@ -20,8 +21,9 @@ from concirc.classify import (
 )
 from concirc.config import apply_overrides, load_config
 from concirc.connection import build_connection
-from concirc.curvature import curvature_family
+from concirc.curvature import THETAS, curvature_family
 from concirc.geometry import VectorFieldSpec
+from concirc.report import Report
 
 from testkit import (DESITTER, FLRW_LINEAR, MINKOWSKI, P_FLRW, P_SPACE, P_TIME,
                      PT, PT_FLRW, diag_metric)
@@ -164,8 +166,8 @@ class TestRicciDataInverse:
                           bundle.connection.pi)
         assert np.array_equal(RicciData.from_bundle(bundle).ginv, fresh.ginv)
         calls = self._count_inversions(monkeypatch)
-        perfect_fluid_kind(bundle)
-        classify_quasi_einstein(RicciData.from_bundle(bundle))
+        fit = classify_quasi_einstein(RicciData.from_bundle(bundle))
+        perfect_fluid_kind(bundle, fit)
         assert calls == []
 
 
@@ -257,12 +259,17 @@ class TestWarpedProductDetection:
 
     def test_fluid_coefficients_on_detected_geometry(self):
         bundle = curvature_family(build_connection(DESITTER, P_TIME, PT))
-        rep = perfect_fluid_kind(bundle)
+        fit = classify_quasi_einstein(RicciData.from_bundle(bundle))
+        rep = perfect_fluid_kind(bundle, fit)
         assert rep.a_minus_b == pytest.approx(3.0, abs=1e-10)
         assert rep.rewrite_residual < 1e-12
-        assert rep.fits["g"].a == pytest.approx(3.0, abs=1e-10)
-        assert rep.fits["g"].b == pytest.approx(0.0, abs=1e-10)
-        assert all(f.quasi_einstein for f in rep.fits.values())
+        assert fit.a == pytest.approx(3.0, abs=1e-10)
+        assert fit.b == pytest.approx(0.0, abs=1e-10)
+        # every family's Ricci tensor is quasi-Einstein on de Sitter
+        for theta in THETAS:
+            data = RicciData(bundle.frame.g, bundle.ricci[theta],
+                             bundle.connection.pi)
+            assert classify_quasi_einstein(data).quasi_einstein, theta
 
 
 class TestPointClassification:
@@ -282,6 +289,28 @@ class TestPointClassification:
         assert not rep.concircular
         assert not rep.grw.passes
         assert rep.taxonomy.parallel
+
+    def test_one_quasi_einstein_fit_per_grw_point(self, monkeypatch):
+        """The fluid block reads classify_point's fit; it fits nothing."""
+        setup = build_case("grw-generic")
+        point = gather_points(apply_overrides(setup, points=1))[0][0]
+        calls = {"eigh": 0, "fit": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh",
+                            counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(classify, "classify_quasi_einstein",
+                            counted("fit", classify.classify_quasi_einstein))
+        rep = Report(setup.tol)
+        _evaluate_point(rep, setup, point)
+        assert "grw_fluid_coefficients" in {c.name for c in rep.checks}
+        # one eigh in classify_vector, one in the quasi-Einstein fit
+        assert calls == {"eigh": 2, "fit": 1}
 
 
 TAXONOMY_FLAGS = (

@@ -1,5 +1,8 @@
 """Command-line surface: exit codes, output grammar, determinism."""
 
+import contextlib
+import functools
+import io
 import re
 import sys
 from pathlib import Path
@@ -109,6 +112,24 @@ class TestRejectedInput:
                               % (text.splitlines().index(old) + 1,
                                  old.split()[0]))
 
+    @pytest.mark.parametrize("g_x_x,p_t,stage", [
+        ("exp(700*t)", "1", "metric jet"),
+        ("1", "1000*exp(709*t)", "generator jet"),
+    ])
+    def test_non_finite_value_exits_two_and_names_point_and_stage(
+            self, g_x_x, p_t, stage, tmp_path, capsys):
+        # An in-process run: a numpy RuntimeWarning would fail this test.
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text("[manifold]\ncoords = t x y z\n\n[metric]\n"
+                       'g_t_t = "-1"\ng_x_x = "%s"\ng_y_y = "1"\n'
+                       'g_z_z = "1"\n\n[vector_field]\nP_t = "%s"\n\n'
+                       "[sampling]\npoints = 0\npoint = 1.0 0.1 0.2 0.3\n"
+                       % (g_x_x, p_t))
+        code, out, err = _run(["analyze", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: %s is not finite at point 1.0 0.1 0.2 0.3\n"
+                       % stage)
+
     @pytest.mark.parametrize("fmt", ["text", "machine"])
     def test_explicit_point_alone_is_a_run(self, fmt, capsys):
         code, out, _ = _run(["analyze", "configs/desitter.cfg", "--points",
@@ -207,6 +228,18 @@ class TestBuiltinOptions:
         assert code == 2
 
 
+MACHINE_SELFTEST = ["selftest", "--seed", "7", "--format", "machine"]
+
+
+@functools.lru_cache(maxsize=None)
+def _machine_selftest() -> str:
+    """stdout of one in-process machine selftest run, made on first use."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(MACHINE_SELFTEST)
+    return out.getvalue()
+
+
 class TestSelftestSubcommand:
     def test_reports_every_criterion(self, capsys):
         code, out, _ = _run(["selftest", "--seed", "7"], capsys)
@@ -217,20 +250,17 @@ class TestSelftestSubcommand:
         assert code == 1
         assert "criteria pass" in out
 
-    def test_machine_format_uses_check_grammar(self, capsys):
-        code, out, _ = _run(
-            ["selftest", "--seed", "7", "--format", "machine"], capsys)
-        lines = out.splitlines()
+    def test_machine_format_uses_check_grammar(self):
+        lines = _machine_selftest().splitlines()
         assert len(lines) == 8
         for line in lines:
             assert line.startswith("CHECK acceptance_")
             assert MACHINE_LINE.match(line), line
 
     def test_is_deterministic(self, capsys):
-        argv = ["selftest", "--seed", "7", "--format", "machine"]
-        _, first, _ = _run(argv, capsys)
-        _, second, _ = _run(argv, capsys)
-        assert first == second
+        # the cached run and this one are two independent runs
+        _, second, _ = _run(MACHINE_SELFTEST, capsys)
+        assert _machine_selftest() == second
 
 
 class _Writes(list):

@@ -34,8 +34,10 @@ from concirc.classify import KINDS, RicciData, quasi_einstein_equivalences
 from concirc.config import AnalysisSetup, parse_config
 from concirc.connection import build_connection
 from concirc.curvature import curvature_family
+from concirc.geometry import residual
 from concirc.sampling import LCG
 from concirc.selftest import _random_pair
+from testkit import concircular_kernel_image
 from test_lattice import (abstract_premises, abstract_violations,
                           violations)
 
@@ -168,8 +170,12 @@ def _assert_passes(text: str, gated: frozenset):
     assert premises == ({i: "True" for i in range(len(points))}
                         if GRW_GATED <= gated else {}), text
     for point in points:
-        data = RicciData.from_bundle(curvature_family(
-            build_connection(setup.metric, setup.vector, point)))
+        c = build_connection(setup.metric, setup.vector, point)
+        bundle = curvature_family(c)
+        # the generator is concircular, so L P = 0 (test_abstract.py)
+        assert residual(concircular_kernel_image(bundle),
+                        c.frame.g) <= 1e-13, text
+        data = RicciData.from_bundle(bundle)
         for theta in KINDS:
             rep = quasi_einstein_equivalences(theta, data)
             assert rep.form_residual == pytest.approx(

@@ -16,6 +16,10 @@ def var(x, i=0, n=1):
     return Jet2.variable(x, i, n)
 
 
+def const(c, n=1):
+    return Jet2.constant(c, n)
+
+
 def test_variable_and_constant_shape():
     j = Jet2.variable(2.5, 1, 3)
     assert j.value == 2.5
@@ -29,7 +33,7 @@ def test_variable_and_constant_shape():
 def test_arithmetic_product_and_quotient_rules():
     x = var(0.7, 0, 2)
     y = var(-1.3, 1, 2)
-    f = (x * x * y - y / x) + 2.0
+    f = (x * x * y - y / x) + const(2.0, 2)
     # f = x^2 y - y/x + 2
     xv, yv = 0.7, -1.3
     assert f.value == pytest.approx(xv * xv * yv - yv / xv + 2.0, rel=1e-15)
@@ -40,15 +44,15 @@ def test_arithmetic_product_and_quotient_rules():
     assert np.array_equal(f.hess, f.hess.T)
 
 
-def test_reflected_operators():
+def test_constant_on_the_left():
     x = var(2.0)
-    assert (3.0 - x).value == 1.0
-    assert (3.0 - x).grad[0] == -1.0
-    assert (1.0 / x).value == 0.5
-    assert (1.0 / x).grad[0] == -0.25
-    assert (1.0 / x).hess[0, 0] == 0.25
-    assert (2.0 ** x).value == 4.0
-    assert (2.0 ** x).grad[0] == pytest.approx(4.0 * math.log(2.0))
+    assert (const(3.0) - x).value == 1.0
+    assert (const(3.0) - x).grad[0] == -1.0
+    assert (const(1.0) / x).value == 0.5
+    assert (const(1.0) / x).grad[0] == -0.25
+    assert (const(1.0) / x).hess[0, 0] == 0.25
+    assert (const(2.0) ** x).value == 4.0
+    assert (const(2.0) ** x).grad[0] == pytest.approx(4.0 * math.log(2.0))
 
 
 @given(safe)
@@ -65,8 +69,8 @@ def test_sin_exp_composite_matches_analytic(x):
 
 @given(st.floats(min_value=0.1, max_value=4.0), st.integers(-3, 5))
 def test_integer_pow_matches_log_exp_path(x, k):
-    fast = var(x) ** k
-    slow = exp(log(var(x)) * float(k))
+    fast = var(x) ** const(k)
+    slow = exp(log(var(x)) * const(float(k)))
     assert fast.value == pytest.approx(slow.value, rel=1e-12)
     assert fast.grad[0] == pytest.approx(slow.grad[0], rel=1e-11, abs=1e-11)
     assert fast.hess[0, 0] == pytest.approx(slow.hess[0, 0], rel=1e-10,
@@ -74,25 +78,25 @@ def test_integer_pow_matches_log_exp_path(x, k):
 
 
 def test_integer_pow_negative_base():
-    j = var(-2.0) ** 3
+    j = var(-2.0) ** const(3)
     assert j.value == -8.0
     assert j.grad[0] == 12.0
     assert j.hess[0, 0] == -12.0
 
 
 def test_pow_zero_conventions():
-    assert (var(0.0) ** 0).value == 1.0
-    assert (var(0.0) ** 2).value == 0.0
+    assert (var(0.0) ** const(0)).value == 1.0
+    assert (var(0.0) ** const(2)).value == 0.0
     with pytest.raises(JetDomainError):
-        _ = var(0.0) ** -1
+        _ = var(0.0) ** const(-1)
 
 
 def test_non_integer_pow_requires_positive_base():
-    j = var(4.0) ** 0.5
+    j = var(4.0) ** const(0.5)
     assert j.value == pytest.approx(2.0)
     assert j.grad[0] == pytest.approx(0.25)
     with pytest.raises(JetDomainError):
-        _ = var(-4.0) ** 0.5
+        _ = var(-4.0) ** const(0.5)
 
 
 def test_domain_errors():
@@ -101,12 +105,12 @@ def test_domain_errors():
     with pytest.raises(JetDomainError):
         sqrt(var(-1.0))
     with pytest.raises(JetDomainError):
-        var(1.0) / Jet2.constant(0.0, 1)
+        var(1.0) / const(0.0)
 
 
 def test_sqrt_of_exact_zero_constant():
     # the one sqrt(0) that is allowed: a literal zero with no derivatives
-    j = sqrt(Jet2.constant(0.0, 2))
+    j = sqrt(const(0.0, 2))
     assert j.value == 0.0
     assert not np.any(j.grad)
 
@@ -136,5 +140,5 @@ def test_hessian_exact_symmetry_under_mixed_products():
     x = var(1.1, 0, 3)
     y = var(0.6, 1, 3)
     z = var(-0.9, 2, 3)
-    f = exp(x * y) * FUNCTIONS["sin"](y * z) / (1.0 + z * z)
+    f = exp(x * y) * FUNCTIONS["sin"](y * z) / (const(1.0, 3) + z * z)
     assert np.array_equal(f.hess, f.hess.T)  # bitwise, not approx

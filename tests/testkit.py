@@ -78,3 +78,18 @@ def covariant_derivative(components, variance, f: PointFrame,
             tmp = np.tensordot(vals, coeffs, axes=(slot, 0))
             out -= np.moveaxis(tmp, -1, slot)
     return out
+
+
+def concircular_kernel_image(bundle) -> np.ndarray:
+    """L P, which vanishes for every concircular generator P.
+
+    L[l, i, j] = R^l_kij P^k + (Ric(e_i, P) d^l_j - Ric(e_j, P) d^l_i)/(n-1)
+    with the Levi-Civita R and Ric: nabla_X P = w X + pi(X) P gives
+    R(X, Y) P = A(X) Y - A(Y) X and Ric(Y, P) = -(n - 1) A(Y).
+    """
+    c = bundle.connection
+    eye = np.eye(c.n)
+    ric_P = bundle.ricci["g"] @ c.P
+    return (np.einsum("lkij,k->lij", bundle.riemann["g"], c.P)
+            + (np.einsum("i,lj->lij", ric_P, eye)
+               - np.einsum("j,li->lij", ric_P, eye)) / (c.n - 1.0))
