@@ -32,10 +32,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .connection import SSConnection, build_connection, check_concircular
-from .curvature import (THETAS, CurvatureBundle, einstein_closed_form,
-                        nabla1_torsion)
+from .curvature import (FAMILIES, THETAS, CurvatureBundle,
+                        einstein_closed_form, nabla1_torsion)
 from .fdcheck import fd_jacobian
-from .geometry import MetricSpec, VectorFieldSpec, close, residual
+from .geometry import (MetricSpec, VectorFieldSpec, close, require_finite,
+                       residual)
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +159,19 @@ class RicciData:
     """Bare (g, Ric, pi) triple; enough for every data-level theorem here.
 
     ``ginv`` may be given when g^-1 is already known (``from_bundle``);
-    otherwise it is inverted on first use, once.
+    otherwise it is inverted on first use, once.  ``point``, where the data
+    were taken, names the point in a non-finite error.
     """
 
-    __slots__ = ("g", "ric", "pi", "_ginv")
+    __slots__ = ("g", "ric", "pi", "_ginv", "point")
 
     def __init__(self, g: np.ndarray, ric: np.ndarray, pi: np.ndarray,
-                 ginv: np.ndarray | None = None):
+                 ginv: np.ndarray | None = None, point=None):
         self.g = g
         self.ric = ric
         self.pi = pi
         self._ginv = ginv
+        self.point = point
 
     @property
     def n(self) -> int:
@@ -194,7 +197,8 @@ class RicciData:
     def from_bundle(bundle: CurvatureBundle) -> "RicciData":
         """Levi-Civita data, reusing the frame's g^-1 (same bits)."""
         c = bundle.connection
-        return RicciData(c.frame.g, bundle.ricci["g"], c.pi, c.frame.ginv)
+        return RicciData(c.frame.g, bundle.ricci["g"], c.pi, c.frame.ginv,
+                         c.frame.point)
 
 
 class QuasiEinsteinFit(NamedTuple):
@@ -209,17 +213,17 @@ class QuasiEinsteinFit(NamedTuple):
 def classify_quasi_einstein(d: RicciData, tol: float = 1e-8) -> QuasiEinsteinFit:
     """Least-squares Ric = a g + b pi x pi with an Einstein special case."""
     pp = np.outer(d.pi, d.pi)
-    gg = float(np.sum(d.g * d.g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gp = np.sum(d.g * pp)
+        gram = np.array([[np.sum(d.g * d.g), gp], [gp, np.sum(pp * pp)]])
+        rhs = np.array([np.sum(d.g * d.ric), np.sum(pp * d.ric)])
+    require_finite("quasi-Einstein fit", d.point, gram, rhs)
     lam, V = np.linalg.eigh(d.g)
     if _form_small(d.pi, lam, V, tol):
-        a = float(np.sum(d.g * d.ric)) / gg
+        a = rhs[0] / gram[0, 0]
         b, identifiable = 0.0, False
     else:
         identifiable = True
-        gram = np.array([[gg, float(np.sum(d.g * pp))],
-                         [float(np.sum(d.g * pp)), float(np.sum(pp * pp))]])
-        rhs = np.array([float(np.sum(d.g * d.ric)),
-                        float(np.sum(pp * d.ric))])
         a, b = np.linalg.solve(gram, rhs)
     res = residual(d.ric - a * d.g - b * pp, d.g)
     einstein = residual(d.ric - (d.r / d.n) * d.g, d.g) <= tol
@@ -239,20 +243,16 @@ def einstein_type(theta, bundle: CurvatureBundle,
     return KindVerdict(res, res <= tol)
 
 
-# E^theta = 0 iff Ric = a g + b pi x pi.  theta -> (a(n, r, pi(P)), b(n),
-# r_GRW(n)), where r_GRW is the scalar curvature the form forces when pi is
-# unit timelike.
-KINDS = {
-    0: (lambda n, r, pP: (4.0 * r - (n - 1) * pP) / (4.0 * n),
-        lambda n: (n - 1) / 4.0,
-        lambda n: (n - 1) * (5 * n - 1) / 4.0),
-    4: (lambda n, r, pP: (r - (n - 1) * pP) / float(n),
-        lambda n: float(n - 1),
-        lambda n: (n - 1) * (2 * n - 1.0)),
-    5: (lambda n, r, pP: (2.0 * r - (n - 1) * pP) / (2.0 * n),
-        lambda n: (n - 1) / 2.0,
-        lambda n: (n - 1) * (3 * n - 1) / 2.0),
-}
+# The families with d != 0: E^theta = 0 iff Ric = a g + b pi x pi with
+# b = d(n-1) and a = (r - b pi(P))/n.  r_GRW = (n-1)(n + b) is the scalar
+# curvature that form forces when pi is unit timelike.
+KINDS = tuple(t for t in THETAS if FAMILIES[t].d)
+
+
+def kind_form(theta, n: int):
+    """(b, r_GRW) of kind theta in dimension n."""
+    b = FAMILIES[theta].d * (n - 1.0)
+    return b, (n - 1) * (n + b)
 
 
 class EquivalenceReport(NamedTuple):
@@ -271,20 +271,18 @@ class EquivalenceReport(NamedTuple):
 def quasi_einstein_equivalences(theta: int, d: RicciData,
                                 tol: float = 1e-8) -> EquivalenceReport:
     if theta not in KINDS:
-        raise ValueError("equivalences are stated for families 0, 4, 5")
-    a_of, b_of, r_of = KINDS[theta]
+        raise ValueError("equivalences are stated for families %s" % (KINDS,))
     n, r, pP = d.n, d.r, d.pi_P
+    b, kind_r = kind_form(theta, n)
     e_g = d.ric - (r / n) * d.g  # E^theta from data, no curvature bundle
     e_res = residual(einstein_closed_form(theta, e_g, d.g, d.pi, pP), d.g)
-    form = a_of(n, r, pP) * d.g + b_of(n) * np.outer(d.pi, d.pi)
+    form = (r - b * pP) / n * d.g + b * np.outer(d.pi, d.pi)
     form_res = residual(d.ric - form, d.g)
     e_holds, form_holds = e_res <= tol, form_res <= tol
 
-    kind_r = None
-    kind_match = None
-    if close(pP, -1.0, tol):
-        kind_r = r_of(n)
-        kind_match = close(r, kind_r, tol)
+    if not close(pP, -1.0, tol):
+        kind_r = None
+    kind_match = None if kind_r is None else close(r, kind_r, tol)
     return EquivalenceReport(e_res, form_res, e_holds, form_holds,
                              e_holds == form_holds, kind_r, r,
                              kind_match if form_holds else None)
@@ -327,17 +325,16 @@ def grw_identity_suite(bundle: CurvatureBundle) -> dict:
     target = (n - 1.0) * pi
     put("ric1_of_P", bundle.ricci[1] @ P)
     put("ric_g_eigen", ric_g @ P - target)
-    put("ric0_eigen", 4.0 * bundle.ricci[0] @ P - target)
-    put("ric4_eigen", bundle.ricci[4] @ P - target)
-    put("ric5_eigen", 2.0 * bundle.ricci[5] @ P - target)
+    for t in KINDS:
+        put("ric%d_eigen" % t,
+            (1 / FAMILIES[t].d) * bundle.ricci[t] @ P - target)
 
     put("nabla1_torsion", nabla1_torsion(c))
 
-    put("ric0_form", bundle.ricci[0] - (ric_g - 0.25 * (n - 1) * (4 * f.g + pp)))
-    for t in (1, 2, 3):
-        put("ric%d_form" % t, bundle.ricci[t] - (ric_g - (n - 1.0) * f.g))
-    put("ric4_form", bundle.ricci[4] - (ric_g - (n - 1.0) * (f.g + pp)))
-    put("ric5_form", bundle.ricci[5] - (ric_g - 0.5 * (n - 1) * (2 * f.g + pp)))
+    # omega = 1 and pi(P) = -1 make every c(n-1)(a omega + b pi(P)) = n - 1
+    for t in THETAS[1:]:
+        put("ric%d_form" % t, bundle.ricci[t]
+            - (ric_g - (n - 1) * (f.g + FAMILIES[t].d * pp)))
 
     npi = c.nabla_pi()  # [i, a]
     put("nabla_P_pi", np.einsum("ia,a->i", npi, P))

@@ -172,15 +172,13 @@ def _take(entries, section, required=False):
     return entries[section]
 
 
-def _quoted(value: str, key: str, lineno: int, coords=None) -> str:
+def _quoted(value: str, key: str, lineno: int) -> str:
     if len(value) < 2 or value[0] != '"' or value[-1] != '"':
         raise ConfigError("%s must be a double-quoted expression, got %r"
                           % (key, value), lineno)
     inner = value[1:-1]
     if '"' in inner:
         raise ConfigError("stray quote inside %s" % key, lineno)
-    if coords is not None:
-        _expression(inner, key, lineno, coords)
     return inner
 
 
@@ -247,9 +245,8 @@ def _manifold(entries) -> tuple:
 
 def _metric(entries, coords) -> MetricSpec:
     n = len(coords)
-    rows = [["0"] * n for _ in range(n)]
+    exprs = np.full((n, n), parse("0", coords), dtype=object)
     given = set()
-    any_entry = False
     for key, value, lineno in _take(entries, "metric", required=True):
         parts = key.split("_")
         if len(parts) != 3 or parts[0] != "g" or parts[1] not in coords \
@@ -262,27 +259,23 @@ def _metric(entries, coords) -> MetricSpec:
             raise ConfigError("metric entry (%s, %s) set twice"
                               % (coords[i], coords[j]), lineno)
         given.add((i, j))
-        expr = _quoted(value, key, lineno, coords)
-        rows[i][j] = expr
-        rows[j][i] = expr
-        any_entry = True
-    if not any_entry:
+        exprs[i, j] = exprs[j, i] = _expression(
+            _quoted(value, key, lineno), key, lineno, coords)
+    if not given:
         raise ConfigError("[metric] defines no entries")
-    try:
-        return MetricSpec.from_strings(coords, rows)
-    except ExprError as exc:
-        raise ConfigError("in a metric entry: %s" % exc) from exc
+    return MetricSpec(coords, exprs)
 
 
 def _vector(entries, coords) -> VectorFieldSpec:
-    comps = ["0"] * len(coords)
+    comps = [parse("0", coords)] * len(coords)
     for key, value, lineno in _take(entries, "vector_field", required=True):
         parts = key.split("_", 1)
         if len(parts) != 2 or parts[0] != "P" or parts[1] not in coords:
             raise ConfigError("vector keys look like P_<coord>; got %r" % key,
                               lineno)
-        comps[coords.index(parts[1])] = _quoted(value, key, lineno, coords)
-    return VectorFieldSpec.from_strings(coords, comps)
+        comps[coords.index(parts[1])] = _expression(
+            _quoted(value, key, lineno), key, lineno, coords)
+    return VectorFieldSpec(coords, tuple(comps))
 
 
 def _sampling(entries, coords) -> dict:

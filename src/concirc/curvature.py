@@ -16,9 +16,13 @@ quadratic torsion terms.  With the cyclic sum S over (X, Y, Z):
 identically, which the tests assert).  Ricci tensors contract the direction
 slot, scalars trace with g, and E^theta = Ric^theta - (r^theta/n) g.
 
-When the generator is concircular each Ric^theta and r^theta collapses to a
-closed form in Ric^g, r^g, omega, pi(P) and pi x pi; those right-hand sides
-live in closed_form_ricci / closed_form_scalar and anchor the assembly.
+When the generator is concircular, Ric^theta = Ric^g - c(n-1)(a omega +
+b pi(P)) g - d(n-1) pi x pi with the four numbers (c, a, b, d) of FAMILIES.
+closed_form_ricci is that law and einstein_closed_form its traceless part;
+classify derives the Einstein-type kinds (d != 0) and the GRW battery from
+the same rows.  closed_form_scalar keeps one expression per family: its
+trace identities hold for any generator, each in the float order that the
+printed scalar_relation rows were fixed with.
 """
 
 from __future__ import annotations
@@ -31,7 +35,35 @@ from .connection import SSConnection
 from .geometry import (require_finite, residual, ricci_from_riemann,
                        riemann_from_gamma)
 
-THETAS = ("g", 0, 1, 2, 3, 4, 5)
+
+class Family(NamedTuple):
+    """Ric^theta = Ric - c(n-1)(a omega + b pi(P)) g - d(n-1) pi x pi."""
+
+    c: float
+    a: float
+    b: float
+    d: float
+
+
+# The concircular closed forms of every family; the laws below, the
+# quasi-Einstein kinds and the GRW battery are all derived from this table.
+FAMILIES = {
+    "g": Family(0, 0, 0, 0),
+    0: Family(0.5, 3, 1, 0.25),
+    1: Family(1, 2, 1, 0),
+    2: Family(1, 1, 0, 0),
+    3: Family(1, 1, 0, 0),
+    4: Family(1, 1, 0, 1),
+    5: Family(0.5, 3, 1, 0.5),
+}
+THETAS = tuple(FAMILIES)
+
+
+def family(theta) -> Family:
+    """FAMILIES[theta], or ValueError for an unknown family."""
+    if theta not in FAMILIES:
+        raise ValueError("unknown curvature family %r" % (theta,))
+    return FAMILIES[theta]
 
 
 class CurvatureBundle(NamedTuple):
@@ -99,23 +131,10 @@ def curvature_family(c: SSConnection) -> CurvatureBundle:
 def closed_form_ricci(theta, c: SSConnection,
                       ric_g: np.ndarray) -> np.ndarray:
     """Concircular-case Ricci of family theta from Levi-Civita data."""
-    n = c.n
-    g = c.frame.g
-    pp = np.outer(c.pi, c.pi)
-    w, pP = c.omega, c.pi_P
-    if theta == "g":
-        return ric_g
-    if theta == 0:
-        return ric_g - 0.5 * (n - 1) * (3 * w + pP) * g - 0.25 * (n - 1) * pp
-    if theta == 1:
-        return ric_g - (n - 1) * (2 * w + pP) * g
-    if theta in (2, 3):
-        return ric_g - (n - 1) * w * g
-    if theta == 4:
-        return ric_g - (n - 1) * w * g - (n - 1) * pp
-    if theta == 5:
-        return ric_g - 0.5 * (n - 1) * (3 * w + pP) * g - 0.5 * (n - 1) * pp
-    raise ValueError("unknown curvature family %r" % (theta,))
+    fam, n = family(theta), c.n
+    return (ric_g
+            - fam.c * (n - 1) * (fam.a * c.omega + fam.b * c.pi_P) * c.frame.g
+            - fam.d * (n - 1) * np.outer(c.pi, c.pi))
 
 
 def closed_form_scalar(theta, c: SSConnection, r_g: float) -> float:
@@ -139,27 +158,11 @@ def closed_form_scalar(theta, c: SSConnection, r_g: float) -> float:
 
 def einstein_closed_form(theta, e_g: np.ndarray, g: np.ndarray,
                          pi: np.ndarray, pi_P: float) -> np.ndarray:
-    """E^theta from E^g, pi(P) and pi x pi.
-
-    The traceless tensors satisfy E^1 = E^2 = E^3 = E^g and
-
-        E^0 = E^g + (n-1)/(4n) pi(P) g - (n-1)/4  pi x pi
-        E^4 = E^g + (n-1)/n   pi(P) g - (n-1)    pi x pi
-        E^5 = E^g + (n-1)/(2n) pi(P) g - (n-1)/2  pi x pi
-
-    whenever the generator is concircular.
-    """
-    n = g.shape[0]
-    if theta in ("g", 1, 2, 3):
+    """E^theta = E^g + d(n-1)/n pi(P) g - d(n-1) pi x pi, concircular case."""
+    d, n = family(theta).d, g.shape[0]
+    if not d:
         return e_g
-    pp = np.outer(pi, pi)
-    if theta == 0:
-        return e_g + (n - 1) / (4.0 * n) * pi_P * g - 0.25 * (n - 1) * pp
-    if theta == 4:
-        return e_g + (n - 1) / float(n) * pi_P * g - float(n - 1) * pp
-    if theta == 5:
-        return e_g + (n - 1) / (2.0 * n) * pi_P * g - 0.5 * (n - 1) * pp
-    raise ValueError("unknown curvature family %r" % (theta,))
+    return e_g + d * (n - 1) / n * pi_P * g - d * (n - 1) * np.outer(pi, pi)
 
 
 def einstein_relations(bundle: CurvatureBundle) -> dict:

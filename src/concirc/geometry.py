@@ -43,12 +43,13 @@ def require_finite(stage: str, point, *arrays) -> None:
     """Raise NonFiniteError, naming the stage and the point, on inf or nan.
 
     The stages run under np.errstate(over="ignore", invalid="ignore"): this
-    check, not numpy's warning, is what stops a non-finite value.
+    check, not numpy's warning, is what stops a non-finite value.  A point
+    of None (data not taken at a point) is left out of the message.
     """
     if not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
-        raise NonFiniteError(
-            "%s is not finite at point %s"
-            % (stage, " ".join(repr(float(x)) for x in point)))
+        where = "" if point is None else " at point " + " ".join(
+            repr(float(x)) for x in point)
+        raise NonFiniteError("%s is not finite%s" % (stage, where))
 
 
 class MetricSpec(NamedTuple):

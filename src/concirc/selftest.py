@@ -21,7 +21,8 @@ import numpy as np
 from .catalog import build_case
 from .classify import (KINDS, RicciData, classify_quasi_einstein,
                        einstein_type, grw_detect, grw_identity_suite,
-                       perfect_fluid_kind, quasi_einstein_equivalences)
+                       kind_form, perfect_fluid_kind,
+                       quasi_einstein_equivalences)
 from .connection import (build_connection, check_concircular, nabla1_P,
                          s_concircular_check)
 from .curvature import (closed_form_ricci, closed_form_scalar,
@@ -182,16 +183,14 @@ def einstein_kind_equivalences(seed: int = 0) -> CriterionResult:
     false_verdicts = 0
     trials = 0
     for n in (4, 5):
-        for theta in (0, 4, 5):
-            _, b_of, r_of = KINDS[theta]
-            b = b_of(n)
+        for theta in KINDS:
+            b, kind_r = kind_form(theta, n)
             for _ in range(100):
                 trials += 1
                 g, pi = _random_unit_timelike(rng, n)
                 ric = (b + (n - 1)) * g + b * np.outer(pi, pi)
                 rep = quasi_einstein_equivalences(theta, RicciData(g, ric, pi),
                                                   tol)
-                kind_r = r_of(n)
                 worst = max(worst, rep.e_residual, rep.form_residual,
                             abs(rep.r - kind_r) / (1.0 + kind_r))
                 if not (rep.e_holds and rep.form_holds and rep.consistent

@@ -3,9 +3,12 @@
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from concirc.analysis import gather_points
 from concirc.catalog import BUILTIN_NAMES, build_case
+from concirc.classify import (KINDS, RicciData, classify_point, kind_form,
+                              quasi_einstein_equivalences)
 from concirc.config import apply_overrides, load_config
 from concirc.connection import build_connection, check_concircular
 from concirc.curvature import curvature_family
@@ -58,3 +61,21 @@ def test_a_concircular_generator_lies_in_the_kernel_of_l():
     generic = load_config(ROOT / "perfbench" / "generic.cfg")
     for holds, res in _kernel_residuals(generic):
         assert not holds and res >= 1e-3, res
+
+
+def test_grw_generic_is_einstein_type_of_one_kind_where_r_is_its_r_grw():
+    # grw-generic has r = 12 + 6 exp(-2t), so it reaches kind theta's
+    # r_GRW at t = ln(6 / (r_GRW - 12)) / 2; there it is of that kind alone.
+    case = build_case("grw-generic")
+    for theta in KINDS:
+        r_grw = kind_form(theta, case.metric.n)[1]
+        t = 0.5 * np.log(6.0 / (r_grw - 12.0))
+        bundle = curvature_family(build_connection(
+            case.metric, case.vector, np.array([t, 0.3, -0.2, 0.1])))
+        assert bundle.scalar["g"] == pytest.approx(r_grw, rel=1e-14)
+        kinds = classify_point(case.metric, case.vector, bundle).kinds
+        assert [k for k, v in kinds.items() if v.holds] == [theta]
+        assert kinds[theta].residual <= 1e-15
+        rep = quasi_einstein_equivalences(theta,
+                                          RicciData.from_bundle(bundle))
+        assert rep.grw_kind_matches is True, (theta, rep)

@@ -255,6 +255,23 @@ P_u = "u"
                               'g_t_x = "1"\ng_x_t = "2"')
         self._expect_error(text, "set twice")
 
+    def test_each_expression_is_parsed_once(self, monkeypatch):
+        import concirc.config
+        import concirc.geometry
+        texts = []
+
+        def counted(text, coords, _parse=concirc.config.parse):
+            texts.append(text)
+            return _parse(text, coords)
+
+        for module in (concirc.config, concirc.geometry):
+            monkeypatch.setattr(module, "parse", counted)
+        load_config("perfbench/generic.cfg")
+        # its 8 distinct quoted expressions once each, and one "0" each for
+        # the absent entries of g and of P
+        assert len(texts) == 10 and texts.count("0") == 2
+        assert len(set(texts)) == 9
+
     def test_load_config_reports_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_config(str(tmp_path / "absent.cfg"))

@@ -115,6 +115,8 @@ class TestRejectedInput:
     @pytest.mark.parametrize("g_x_x,p_t,stage", [
         ("exp(700*t)", "1", "metric jet"),
         ("1", "1000*exp(709*t)", "generator jet"),
+        # every stage up to the Riemann tensor is finite; sum(g * g) is not
+        ("exp(400*t)", "1", "quasi-Einstein fit"),
     ])
     def test_non_finite_value_exits_two_and_names_point_and_stage(
             self, g_x_x, p_t, stage, tmp_path, capsys):

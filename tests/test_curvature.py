@@ -1,20 +1,30 @@
 """Curvature families of the torsionful connection and their closed forms."""
 
+import functools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from concirc.analysis import gather_points
+from concirc.catalog import BUILTIN_NAMES, build_case
+from concirc.config import apply_overrides, load_config
 from concirc.connection import build_connection
 from concirc.curvature import (
+    FAMILIES,
     THETAS,
     closed_form_ricci,
     closed_form_scalar,
     curvature_family,
+    einstein_closed_form,
     einstein_relations,
     nabla1_torsion,
 )
 
 from testkit import (DESITTER, FLRW_LINEAR, MINKOWSKI, P_FLRW, P_SPACE, P_TIME,
                      PT, PT_FLRW)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _bundle(metric, vector, point):
@@ -155,3 +165,49 @@ class TestEinsteinRelations:
         assert out[1] == pytest.approx(0.75, abs=1e-13)
         assert out[0] == pytest.approx(0.1875, abs=1e-13)
         assert out[5] == pytest.approx(0.1875, abs=1e-13)
+
+
+@functools.lru_cache(maxsize=None)
+def _table_bundles():
+    """Bundles at four points of each builtin and of perfbench/generic.cfg."""
+    setups = [build_case(name) for name in BUILTIN_NAMES]
+    setups.append(load_config(ROOT / "perfbench" / "generic.cfg"))
+    return tuple(curvature_family(build_connection(s.metric, s.vector, pt))
+                 for s in setups
+                 for pt in gather_points(apply_overrides(s, points=4))[0])
+
+
+def _table_mismatch(thetas=THETAS) -> float:
+    """Worst relative gap between FAMILIES' laws and closed_form_scalar.
+
+    tr_g closed_form_ricci = closed_form_scalar, and closed_form_ricci minus
+    (closed_form_scalar / n) g = einstein_closed_form: identities in
+    (Ric, r, omega, pi) that hold whether the generator is concircular or not.
+    """
+    worst = 0.0
+    for b in _table_bundles():
+        c, f = b.connection, b.frame
+        for t in thetas:
+            ric = closed_form_ricci(t, c, b.ricci["g"])
+            r = closed_form_scalar(t, c, b.scalar["g"])
+            e = einstein_closed_form(t, b.einstein["g"], f.g, c.pi, c.pi_P)
+            scale = max(1.0, abs(r), float(np.max(np.abs(ric))))
+            trace = float(np.einsum("ab,ab->", f.ginv, ric))
+            traceless = ric - (r / c.n) * f.g - e
+            worst = max(worst, abs(trace - r) / scale,
+                        float(np.max(np.abs(traceless))) / scale)
+    return worst
+
+
+class TestFamilyTable:
+    def test_laws_match_the_scalar_closed_forms(self):
+        assert _table_mismatch() <= 1e-12
+
+    def test_a_mutated_coefficient_breaks_them(self, monkeypatch):
+        for theta in (0, 1, 2, 3, 4, 5):
+            row = FAMILIES[theta]
+            for field in row._fields:
+                with monkeypatch.context() as m:
+                    m.setitem(FAMILIES, theta, row._replace(
+                        **{field: getattr(row, field) + 0.125}))
+                    assert _table_mismatch((theta,)) > 1e-3, (theta, field)
