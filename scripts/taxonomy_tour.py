@@ -10,17 +10,9 @@ of the shipped warped geometries.
 import numpy as np
 
 from concirc.catalog import build_case
-from concirc.classify import classify_vector
+from concirc.classify import TAXONOMY_FLAGS, classify_vector
 from concirc.connection import build_connection
 from concirc.geometry import MetricSpec, VectorFieldSpec
-
-ROWS = (
-    "torse_forming", "torqued", "concircular_fialkow", "concircular_yano",
-    "recurrent", "concurrent", "parallel", "self_torse_forming",
-    "anti_torqued", "geodesic", "unit_timelike", "unit_spacelike",
-    "conformal_killing", "killing",
-)
-
 
 def _flat(coords, entries):
     n = len(coords)
@@ -58,10 +50,10 @@ def main() -> int:
     taxa = [classify_vector(m, p, build_connection(m, p, pt))
             for _, (m, p, pt) in columns]
 
-    width = max(len(r) for r in ROWS) + 2
+    width = max(len(r) for r in TAXONOMY_FLAGS) + 2
     colw = max(max(len(n) for n in names) + 2, 7)
     print(" " * width + "".join(n.rjust(colw) for n in names))
-    for row in ROWS:
+    for row in TAXONOMY_FLAGS:
         marks = []
         for tax in taxa:
             value = getattr(tax, row)

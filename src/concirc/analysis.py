@@ -29,24 +29,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .classify import classify_point, grw_identity_suite, perfect_fluid_kind
+from .classify import (TAXONOMY_FLAGS, classify_point, grw_identity_suite,
+                       perfect_fluid_kind)
 from .config import AnalysisSetup
 from .connection import (build_connection, identity_suite, lie_g_nonsym,
                          nabla1_P)
-from .curvature import (closed_form_ricci, closed_form_scalar,
-                        curvature_family, einstein_relations)
+from .curvature import (curvature_family, einstein_relations,
+                        ricci_relations, scalar_relations)
 from .geometry import SingularMetricError, frame_at, residual
 from .relativity import div_pi_pi, efe_residual, phantom_verdict
 from .report import Report
 from .sampling import LCG, draw_point
 
 _ALWAYS_ANTISYM = ("g", 0, 1, 2)
-_TAXONOMY_FLAGS = (
-    "torse_forming", "torqued", "concircular_fialkow", "concircular_yano",
-    "recurrent", "concurrent", "parallel", "self_torse_forming",
-    "anti_torqued", "geodesic", "unit_timelike", "unit_spacelike",
-    "conformal_killing", "killing",
-)
 
 
 class AnalysisError(ValueError):
@@ -106,7 +101,6 @@ def _evaluate_point(rep: Report, setup: AnalysisSetup, point: np.ndarray):
     c = build_connection(setup.metric, setup.vector, point)
     f = c.frame
     bundle = curvature_family(c)
-    ric_g, r_g = bundle.ricci["g"], bundle.scalar["g"]
     cls = classify_point(setup.metric, setup.vector, bundle, setup.tol)
 
     # ---- unconditional identities ------------------------------------
@@ -122,20 +116,16 @@ def _evaluate_point(rep: Report, setup: AnalysisSetup, point: np.ndarray):
                         + np.einsum("lkij->lkji", bundle.riemann[t]), f.g)
                for t in _ALWAYS_ANTISYM)
     rep.check("curvature_antisymmetry", idx, anti)
-    for t in (0, 1, 2, 3, 4, 5):
-        rep.check("scalar_relation_theta%d" % t, idx,
-                  abs(closed_form_scalar(t, c, r_g) - bundle.scalar[t])
-                  / (1.0 + abs(r_g)))
+    for t, res in scalar_relations(bundle).items():
+        rep.check("scalar_relation_theta%s" % t, idx, res)
     if setup.fluid is not None:
-        rep.check("field_equation", idx,
-                  efe_residual(bundle, setup.fluid).residual)
+        efe = efe_residual(bundle, setup.fluid)
+        rep.check("field_equation", idx, efe.residual)
 
     # ---- identities that apply to concircular generators --------------
     if cls.concircular:
-        for t in (0, 1, 2, 3, 4, 5):
-            rep.check("ricci_closed_form_theta%d" % t, idx,
-                      residual(closed_form_ricci(t, c, ric_g)
-                               - bundle.ricci[t], f.g))
+        for t, res in ricci_relations(bundle).items():
+            rep.check("ricci_closed_form_theta%s" % t, idx, res)
         for t, res in einstein_relations(bundle).items():
             rep.check("einstein_relation_theta%s" % t, idx, res)
         rep.check("generator_derivative", idx,
@@ -166,7 +156,7 @@ def _evaluate_point(rep: Report, setup: AnalysisSetup, point: np.ndarray):
 
     tax = cls.taxonomy
     rep.verdict("generator_indeterminate", idx, tax.indeterminate)
-    for flag in _TAXONOMY_FLAGS:
+    for flag in TAXONOMY_FLAGS:
         rep.verdict(flag, idx, getattr(tax, flag))
     if not tax.indeterminate:
         rep.verdict("omega_hat", idx, tax.omega_hat)
@@ -182,7 +172,6 @@ def _evaluate_point(rep: Report, setup: AnalysisSetup, point: np.ndarray):
     rep.verdict("grw", idx, cls.grw.passes)
 
     if setup.fluid is not None:
-        sigma, p = setup.fluid.values(point)
-        ph = phantom_verdict(sigma, p, setup.tol)
+        ph = phantom_verdict(efe.sigma, efe.p, setup.tol)
         rep.verdict("fluid_regime", idx, ph.regime)
         rep.verdict("eos_w", idx, ph.w)

@@ -31,12 +31,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .connection import SSConnection, build_connection, check_concircular
+from .connection import (ConditionReport, SSConnection, build_connection,
+                         check_concircular)
 from .curvature import (FAMILIES, THETAS, CurvatureBundle,
                         einstein_closed_form, nabla1_torsion)
 from .fdcheck import fd_jacobian
-from .geometry import (MetricSpec, VectorFieldSpec, close, require_finite,
-                       residual)
+from .geometry import (DEFAULT_TOL, MetricSpec, VectorFieldSpec, close,
+                       require_finite, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +73,15 @@ class VectorTaxonomy(NamedTuple):
     killing: bool | None = None
 
 
+# The boolean VectorTaxonomy fields, in the order of their VERDICT rows.
+TAXONOMY_FLAGS = (
+    "torse_forming", "torqued", "concircular_fialkow", "concircular_yano",
+    "recurrent", "concurrent", "parallel", "self_torse_forming",
+    "anti_torqued", "geodesic", "unit_timelike", "unit_spacelike",
+    "conformal_killing", "killing",
+)
+
+
 def _fit_torse(nabla_p: np.ndarray, P: np.ndarray):
     """Exact normal equations for nabla_i P^k = w d^k_i + P^k eta_i."""
     n = P.shape[0]
@@ -94,7 +104,7 @@ def _form_small(v: np.ndarray, lam: np.ndarray, V: np.ndarray,
 
 
 def classify_vector(m: MetricSpec, p: VectorFieldSpec, c: SSConnection,
-                    tol: float = 1e-8) -> VectorTaxonomy:
+                    tol: float = DEFAULT_TOL) -> VectorTaxonomy:
     """Taxonomy of c's generator; m and p rebuild c nearby for d eta."""
     f = c.frame
     # vanishing P: sqrt(P^T |g| P) with |g| = V |Lambda| V^T, a length that
@@ -210,7 +220,8 @@ class QuasiEinsteinFit(NamedTuple):
     b_identifiable: bool
 
 
-def classify_quasi_einstein(d: RicciData, tol: float = 1e-8) -> QuasiEinsteinFit:
+def classify_quasi_einstein(d: RicciData,
+                            tol: float = DEFAULT_TOL) -> QuasiEinsteinFit:
     """Least-squares Ric = a g + b pi x pi with an Einstein special case."""
     pp = np.outer(d.pi, d.pi)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -231,16 +242,11 @@ def classify_quasi_einstein(d: RicciData, tol: float = 1e-8) -> QuasiEinsteinFit
                             einstein, identifiable)
 
 
-class KindVerdict(NamedTuple):
-    residual: float
-    holds: bool
-
-
 def einstein_type(theta, bundle: CurvatureBundle,
-                  tol: float = 1e-8) -> KindVerdict:
+                  tol: float = DEFAULT_TOL) -> ConditionReport:
     """Does E^theta vanish?"""
     res = residual(bundle.einstein[theta], bundle.frame.g)
-    return KindVerdict(res, res <= tol)
+    return ConditionReport(res, res <= tol)
 
 
 # The families with d != 0: E^theta = 0 iff Ric = a g + b pi x pi with
@@ -268,8 +274,9 @@ class EquivalenceReport(NamedTuple):
     grw_kind_matches: bool | None
 
 
-def quasi_einstein_equivalences(theta: int, d: RicciData,
-                                tol: float = 1e-8) -> EquivalenceReport:
+def quasi_einstein_equivalences(
+        theta: int, d: RicciData,
+        tol: float = DEFAULT_TOL) -> EquivalenceReport:
     if theta not in KINDS:
         raise ValueError("equivalences are stated for families %s" % (KINDS,))
     n, r, pP = d.n, d.r, d.pi_P
@@ -300,7 +307,7 @@ class GRWReport(NamedTuple):
     passes: bool
 
 
-def grw_detect(c: SSConnection, tol: float = 1e-8) -> GRWReport:
+def grw_detect(c: SSConnection, tol: float = DEFAULT_TOL) -> GRWReport:
     f = c.frame
     lorentzian = f.lorentzian
     unit = close(c.pi_P, -1.0, tol)
@@ -375,12 +382,12 @@ class ClassificationReport(NamedTuple):
     concircular_residual: float
     taxonomy: VectorTaxonomy
     quasi_einstein: QuasiEinsteinFit
-    kinds: dict                    # theta -> KindVerdict
+    kinds: dict                    # theta -> ConditionReport
     grw: GRWReport
 
 
 def classify_point(m: MetricSpec, p: VectorFieldSpec, bundle: CurvatureBundle,
-                   tol: float = 1e-8) -> ClassificationReport:
+                   tol: float = DEFAULT_TOL) -> ClassificationReport:
     """Every per-point verdict on (g, P); the analysis emits these rows."""
     c = bundle.connection
     conc = check_concircular(c, tol)

@@ -38,6 +38,10 @@ downstream number.
     [report]
     format = text                 # or machine
 
+The values shown are the defaults.  A key the config leaves out keeps the
+default of its ``AnalysisSetup`` field, which owns them: ``tol`` is
+``geometry.DEFAULT_TOL`` and ``margin`` is ``sampling.AVOID_MARGIN``.
+
 ``apply_overrides`` puts command-line values over a setup under the same
 rules, naming the flag where a config error names the line.
 """
@@ -51,8 +55,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .expr import Expr, ExprError, parse
-from .geometry import MetricSpec, VectorFieldSpec
+from .geometry import DEFAULT_TOL, MetricSpec, VectorFieldSpec
 from .relativity import FluidParams
+from .sampling import AVOID_MARGIN
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _SECTIONS = ("manifold", "metric", "vector_field", "sampling", "fluid",
@@ -81,9 +86,9 @@ class AnalysisSetup(NamedTuple):
     n_points: int = 16
     seed: int = 0
     avoid: tuple = ()
-    margin: float = 0.1
+    margin: float = AVOID_MARGIN
     fluid: FluidParams | None = None
-    tol: float = 1e-8
+    tol: float = DEFAULT_TOL
     fmt: str = "text"
     description: str | None = None  # a builtin's summary; no config key
 
@@ -118,13 +123,13 @@ def parse_config(text: str) -> AnalysisSetup:
     coords = _manifold(entries)
     metric = _metric(entries, coords)
     vector = _vector(entries, coords)
-    sampling = _sampling(entries, coords)
+    fields = _sampling(entries, coords)
     rows = _take(entries, "fluid")
-    fluid = _fluid_over(None, coords, rows, quoted=True) if rows else None
-    tol = _tolerances(entries)
-    fmt = _report(entries)
-    return AnalysisSetup(coords, metric, vector, fluid=fluid, tol=tol,
-                         fmt=fmt, **sampling)
+    if rows:
+        fields["fluid"] = _fluid_over(None, coords, rows, quoted=True)
+    fields.update(_tolerances(entries))
+    fields.update(_report(entries))
+    return AnalysisSetup(coords, metric, vector, **fields)
 
 
 def _split(text: str) -> dict:
@@ -279,9 +284,10 @@ def _vector(entries, coords) -> VectorFieldSpec:
 
 
 def _sampling(entries, coords) -> dict:
+    """The [sampling] fields, with only the keys the section sets."""
     n = len(coords)
     bounds = [(-1.0, 1.0)] * n
-    out = {"n_points": 16, "seed": 0, "margin": 0.1}
+    out = {}
     avoid = []
     points = []
     for key, value, lineno in _take(entries, "sampling"):
@@ -352,22 +358,22 @@ def _fluid_over(base: FluidParams | None, coords, rows,
     return (base or FluidParams.from_strings(coords))._replace(**fields)
 
 
-def _tolerances(entries) -> float:
-    tol = 1e-8
+def _tolerances(entries) -> dict:
+    out = {}
     for key, value, lineno in _take(entries, "tolerances"):
         if key != "tol":
             raise ConfigError("unknown key %r in [tolerances]" % key, lineno)
-        tol = _positive(_number(value, key, lineno), key, lineno)
-    return tol
+        out["tol"] = _positive(_number(value, key, lineno), key, lineno)
+    return out
 
 
-def _report(entries) -> str:
-    fmt = "text"
+def _report(entries) -> dict:
+    out = {}
     for key, value, lineno in _take(entries, "report"):
         if key != "format":
             raise ConfigError("unknown key %r in [report]" % key, lineno)
         if value not in ("text", "machine"):
             raise ConfigError("format is 'text' or 'machine', got %r" % value,
                               lineno)
-        fmt = value
-    return fmt
+        out["fmt"] = value
+    return out

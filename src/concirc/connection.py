@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (MetricSpec, PointFrame, VectorFieldSpec, frame_at,
-                       require_finite, residual)
+from .geometry import (DEFAULT_TOL, MetricSpec, PointFrame, VectorFieldSpec,
+                       frame_at, require_finite, residual)
 
 
 class SSConnection(NamedTuple):
@@ -116,7 +116,8 @@ class ConditionReport(NamedTuple):
     holds: bool
 
 
-def check_concircular(c: SSConnection, tol: float = 1e-8) -> ConditionReport:
+def check_concircular(c: SSConnection,
+                      tol: float = DEFAULT_TOL) -> ConditionReport:
     """Residual of (nabla pi) - pi x pi - omega g, max-norm normalised."""
     dev = (c.nabla_pi()
            - np.outer(c.pi, c.pi)
@@ -125,7 +126,8 @@ def check_concircular(c: SSConnection, tol: float = 1e-8) -> ConditionReport:
     return ConditionReport(res, res <= tol)
 
 
-def s_concircular_check(c: SSConnection, tol: float = 1e-8) -> ConditionReport:
+def s_concircular_check(c: SSConnection,
+                        tol: float = DEFAULT_TOL) -> ConditionReport:
     """Equivalent pure-trace test on s = nabla pi - pi x pi + pi(P)/2 g."""
     s = (c.nabla_pi().T
          - np.outer(c.pi, c.pi)

@@ -165,6 +165,23 @@ def einstein_closed_form(theta, e_g: np.ndarray, g: np.ndarray,
     return e_g + d * (n - 1) / n * pi_P * g - d * (n - 1) * np.outer(pi, pi)
 
 
+def ricci_relations(bundle: CurvatureBundle) -> dict:
+    """Residuals of Ric^theta against closed_form_ricci, theta = 0..5."""
+    c = bundle.connection
+    ric_g, g = bundle.ricci["g"], c.frame.g
+    return {t: residual(closed_form_ricci(t, c, ric_g) - bundle.ricci[t], g)
+            for t in THETAS[1:]}
+
+
+def scalar_relations(bundle: CurvatureBundle) -> dict:
+    """|r^theta - closed_form_scalar| / (1 + |r^g|), theta = 0..5."""
+    c = bundle.connection
+    r_g = bundle.scalar["g"]
+    return {t: abs(closed_form_scalar(t, c, r_g) - bundle.scalar[t])
+            / (1.0 + abs(r_g))
+            for t in THETAS[1:]}
+
+
 def einstein_relations(bundle: CurvatureBundle) -> dict:
     """Residuals of E^theta against einstein_closed_form, theta = 0..5."""
     c = bundle.connection
@@ -172,4 +189,4 @@ def einstein_relations(bundle: CurvatureBundle) -> dict:
     e_g = bundle.einstein["g"]
     return {t: residual(bundle.einstein[t]
                         - einstein_closed_form(t, e_g, g, c.pi, c.pi_P), g)
-            for t in (0, 1, 2, 3, 4, 5)}
+            for t in THETAS[1:]}

@@ -215,6 +215,11 @@ def ricci_from_riemann(riem: np.ndarray) -> np.ndarray:
     return np.einsum("cbca->ab", riem)
 
 
+# The tolerance every CHECK and verdict is judged against unless a run sets
+# its own (``tol`` in a config, ``--tol`` on the command line).
+DEFAULT_TOL = 1e-8
+
+
 def residual(arr, g: np.ndarray) -> float:
     """Tensor residual rule: max |arr| / (1 + max |g_ij|) for the metric g."""
     return float(np.max(np.abs(arr))) / (1.0 + float(np.max(np.abs(g))))

@@ -31,7 +31,7 @@ import numpy as np
 from .connection import SSConnection
 from .curvature import CurvatureBundle
 from .expr import Expr, parse
-from .geometry import residual as _residual
+from .geometry import DEFAULT_TOL, residual as _residual
 
 
 class FluidParams(NamedTuple):
@@ -112,7 +112,7 @@ def div_tau(bundle: CurvatureBundle, fluid: FluidParams,
     pp = np.outer(c.pi, c.pi)
     dpp = (np.einsum("ba,j->bja", c.dpi, c.pi)
            + np.einsum("b,ja->bja", c.pi, c.dpi))
-    dtau = (np.einsum("a,bj->bja", dp, f.g) + p * np.einsum("bja->bja", f.dg)
+    dtau = (np.einsum("a,bj->bja", dp, f.g) + p * f.dg
             + np.einsum("a,bj->bja", dsigma + dp, pp) + (sigma + p) * dpp)
     return div_symmetric_2tensor(c, tau, dtau)
 
@@ -130,7 +130,8 @@ class PhantomReport(NamedTuple):
     regime: str
 
 
-def phantom_verdict(sigma: float, p: float, tol: float = 1e-8) -> PhantomReport:
+def phantom_verdict(sigma: float, p: float,
+                    tol: float = DEFAULT_TOL) -> PhantomReport:
     scale = 1.0 + abs(sigma) + abs(p)
     at_barrier = abs(sigma + p) <= tol * scale
     if abs(sigma) <= tol * scale:

@@ -25,12 +25,12 @@ from .classify import (KINDS, RicciData, classify_quasi_einstein,
                        quasi_einstein_equivalences)
 from .connection import (build_connection, check_concircular, nabla1_P,
                          s_concircular_check)
-from .curvature import (closed_form_ricci, closed_form_scalar,
-                        curvature_family)
+from .curvature import curvature_family, ricci_relations, scalar_relations
 from .fdcheck import fd_gamma, fd_riemann
-from .geometry import (MetricSpec, VectorFieldSpec, frame_at, residual,
-                       riemann_from_gamma)
-from .relativity import FluidParams, div_tau, efe_residual, phantom_verdict
+from .geometry import (DEFAULT_TOL, MetricSpec, VectorFieldSpec, frame_at,
+                       residual, riemann_from_gamma)
+from .relativity import (FluidParams, div_pi_pi, div_tau, efe_residual,
+                         phantom_verdict)
 from .report import fmt_float
 from .sampling import LCG, sample_points
 
@@ -55,23 +55,18 @@ def _fmt_pos(x: float) -> str:
 
 def closed_form_curvature_anchor(seed: int = 0) -> CriterionResult:
     """Direct contractions match the closed-form Ricci and scalar relations."""
-    tol = 1e-8
+    tol = DEFAULT_TOL
     per_case = []
     worst = 0.0
     for name in ("minkowski", "desitter-flat", "grw-generic"):
         case = build_case(name)
         case_worst = 0.0
         for pt in _points_for(case, 16, seed):
-            c = build_connection(case.metric, case.vector, pt)
-            bundle = curvature_family(c)
-            ric_g, r_g = bundle.ricci["g"], bundle.scalar["g"]
-            for t in (0, 1, 2, 3, 4, 5):
-                case_worst = max(
-                    case_worst,
-                    residual(closed_form_ricci(t, c, ric_g)
-                             - bundle.ricci[t], c.frame.g),
-                    abs(closed_form_scalar(t, c, r_g) - bundle.scalar[t])
-                    / (1.0 + abs(r_g)))
+            bundle = curvature_family(
+                build_connection(case.metric, case.vector, pt))
+            case_worst = max(case_worst,
+                             *ricci_relations(bundle).values(),
+                             *scalar_relations(bundle).values())
         per_case.append("%s %.3e" % (name, case_worst))
         worst = max(worst, case_worst)
     detail = ("; ".join(per_case)
@@ -107,7 +102,7 @@ def derivative_oracle(seed: int = 0) -> CriterionResult:
 
 def desitter_chain(seed: int = 0) -> CriterionResult:
     """The full result chain on the exponentially warped flat case."""
-    tol = 1e-8
+    tol = DEFAULT_TOL
     case = build_case("desitter-flat")
     worst = 0.0
     grw_ok = True
@@ -142,11 +137,10 @@ def desitter_chain(seed: int = 0) -> CriterionResult:
 
 def grw_identity_battery(seed: int = 0) -> CriterionResult:
     """GRW identities hold pointwise while scalar curvature varies."""
-    tol = 1e-8
+    tol = DEFAULT_TOL
     case = build_case("grw-generic")
     worst = 0.0
     scalars = []
-    from .relativity import div_pi_pi
     for pt in _points_for(case, 16, seed):
         c = build_connection(case.metric, case.vector, pt)
         bundle = curvature_family(c)
@@ -177,7 +171,7 @@ def _random_unit_timelike(rng: LCG, n: int):
 
 def einstein_kind_equivalences(seed: int = 0) -> CriterionResult:
     """Constructed kind instances verify both directions; perturbed fail."""
-    tol = 1e-8
+    tol = DEFAULT_TOL
     rng = LCG(seed ^ 0x5E1F)
     worst = 0.0
     false_verdicts = 0

@@ -28,11 +28,10 @@ from concirc.catalog import build_case
 from concirc.config import apply_overrides, parse_config
 from concirc.expr import to_string
 from concirc.geometry import frame_at
+from testkit import machine_rows
 
 NEW = ("T", "X", "Y", "Z")
 POINTS = 8
-_VERDICT = re.compile(r"^VERDICT (\w+) point=(\d+) value=(True|False)$",
-                      re.M)
 
 
 def _num(x: float) -> str:
@@ -131,8 +130,9 @@ def _verdicts(setup):
     out = io.StringIO()
     rep.render("machine", out)
     by_point = {}
-    for name, idx, value in _VERDICT.findall(out.getvalue()):
-        by_point.setdefault(int(idx), {})[name] = value
+    for name, idx, value in machine_rows(out.getvalue(), "VERDICT"):
+        if value in ("True", "False"):
+            by_point.setdefault(idx, {})[name] = value
     return rep, by_point
 
 

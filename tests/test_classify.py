@@ -9,6 +9,7 @@ from concirc import classify
 from concirc.analysis import _evaluate_point, gather_points, run_analysis
 from concirc.catalog import build_case
 from concirc.classify import (
+    TAXONOMY_FLAGS,
     RicciData,
     classify_point,
     classify_quasi_einstein,
@@ -313,12 +314,6 @@ class TestPointClassification:
         assert calls == {"eigh": 2, "fit": 1}
 
 
-TAXONOMY_FLAGS = (
-    "torse_forming", "torqued", "concircular_fialkow", "concircular_yano",
-    "recurrent", "concurrent", "parallel", "self_torse_forming",
-    "anti_torqued", "geodesic", "unit_timelike", "unit_spacelike",
-    "conformal_killing", "killing",
-)
 # VERDICT rows the analysis takes from elsewhere than classify_point
 NOT_CLASSIFIED = {"omega", "fluid_regime", "eos_w"}
 

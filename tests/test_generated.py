@@ -22,7 +22,6 @@ and not shrunk: a failing example prints its whole config.
 """
 
 import io
-import re
 
 import numpy as np
 import pytest
@@ -37,12 +36,9 @@ from concirc.curvature import curvature_family
 from concirc.geometry import residual
 from concirc.sampling import LCG
 from concirc.selftest import _random_pair
-from testkit import concircular_kernel_image
+from testkit import concircular_kernel_image, machine_rows
 from test_lattice import (abstract_premises, abstract_violations,
                           violations)
-
-_CHECK = re.compile(r"^CHECK (\w+) point=(-?\d+) residual=\S+ "
-                    r"status=(PASS|FAIL)$", re.M)
 
 UNCONDITIONAL = frozenset(
     ["metricity_levi_civita", "metricity_semi_symmetric",
@@ -75,9 +71,8 @@ def _num(x: float) -> str:
 def _statuses(out: str) -> dict:
     """CHECK name -> set of statuses over the points (aggregate excluded)."""
     found = {}
-    for name, point, status in _CHECK.findall(out):
-        if point != "-1":
-            found.setdefault(name, set()).add(status)
+    for name, _, status in machine_rows(out, "CHECK"):
+        found.setdefault(name, set()).add(status)
     return found
 
 

@@ -18,7 +18,6 @@ Two more rules need more than the VERDICT rows:
 """
 
 import io
-import re
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,7 @@ from concirc.analysis import gather_points, run_analysis
 from concirc.catalog import BUILTIN_NAMES, build_case
 from concirc.config import apply_overrides, load_config, parse_config
 from concirc.geometry import frame_at
+from testkit import machine_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -52,9 +52,6 @@ IMPLICATIONS = (
     ("CHECK grw_fluid_coefficients", "quasi_einstein", "True"),
 )
 
-_VERDICT = re.compile(r"^VERDICT (\w+) point=(\d+) value=(\S+)$", re.M)
-_CHECK = re.compile(r"^CHECK (\w+) point=(\d+) ", re.M)
-
 _DESITTER = (ROOT / "configs" / "desitter.cfg").read_text()
 _FAR = (_DESITTER.replace("bounds_t = -0.5 0.5", "bounds_t = 9 10")
         .replace("points = 4", "points = 64")
@@ -68,10 +65,10 @@ def _by_point(machine_output: str) -> dict:
     """point -> {verdict name: value token, "CHECK <name>": "True"}; the
     aggregate rows (point=-1) are left out."""
     points = {}
-    for name, idx, value in _VERDICT.findall(machine_output):
-        points.setdefault(int(idx), {})[name] = value
-    for name, idx in _CHECK.findall(machine_output):
-        points.setdefault(int(idx), {})["CHECK " + name] = "True"
+    for name, idx, value in machine_rows(machine_output, "VERDICT"):
+        points.setdefault(idx, {})[name] = value
+    for name, idx, _ in machine_rows(machine_output, "CHECK"):
+        points.setdefault(idx, {})["CHECK " + name] = "True"
     return points
 
 
@@ -107,7 +104,7 @@ def _machine(setup):
     rep = run_analysis(setup)
     out = io.StringIO()
     rep.render("machine", out)
-    assert _VERDICT.search(out.getvalue())
+    assert machine_rows(out.getvalue(), "VERDICT")
     return rep, out.getvalue()
 
 
@@ -143,7 +140,7 @@ def test_checker_reports_a_broken_abstract_implication():
                          ids=["builtin_" + name for name in BUILTIN_NAMES])
 def test_golden_builtins_obey_the_lattice(name):
     out = (GOLDEN / ("builtin_%s.out" % name)).read_text()
-    assert _VERDICT.search(out)
+    assert machine_rows(out, "VERDICT")
     assert violations(out) == []
     setup = apply_overrides(build_case(name), points=4)
     points = gather_points(setup)[0]

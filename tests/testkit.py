@@ -2,7 +2,10 @@
 
 The Levi-Civita contractions and the generic covariant derivative are
 independent routes to quantities the engine computes by specialised code.
+``machine_rows`` reads the per-point rows of ``--format machine`` output.
 """
+
+import re
 
 import numpy as np
 
@@ -93,3 +96,17 @@ def concircular_kernel_image(bundle) -> np.ndarray:
     return (np.einsum("lkij,k->lij", bundle.riemann["g"], c.P)
             + (np.einsum("i,lj->lij", ric_P, eye)
                - np.einsum("j,li->lij", ric_P, eye)) / (c.n - 1.0))
+
+
+_MACHINE_ROW = re.compile(
+    r"^(CHECK|VERDICT) (\w+) point=(\d+) "
+    r"(?:residual=\S+ status=(PASS|FAIL)|value=(\S+))$", re.M)
+
+
+def machine_rows(out: str, kind: str) -> list:
+    """(name, point, token) for each per-point row of ``kind`` in machine
+    output: a CHECK's token is its status, a VERDICT's its value.  The
+    aggregate rows (point=-1) are left out."""
+    return [(name, int(point), status or value)
+            for k, name, point, status, value in _MACHINE_ROW.findall(out)
+            if k == kind]
