@@ -2,9 +2,10 @@
 """Sweep constant (sigma, p) fluids over a geometry and map the w = -1 line.
 
 For each grid cell the script reports the norm of the stress-energy
-divergence (coefficient mode, where conservation is equivalent to
-sigma + p = 0) and the equation-of-state regime.  The barrier column of
-the table is exactly the anti-diagonal sigma = -p.
+divergence (for a constant fluid it is (sigma + p) div(pi x pi), so
+conservation is equivalent to sigma + p = 0) and the equation-of-state
+regime.  The barrier column of the table is exactly the anti-diagonal
+sigma = -p.
 
 Usage: fluid_grid.py [--name grw-generic] [--lo -2] [--hi 2] [--steps 9]
 """
@@ -45,14 +46,13 @@ def main() -> int:
         for p in grid:
             fluid = FluidParams.from_strings(
                 case.coords, sigma="%.6f" % sigma, p="%.6f" % p)
-            norm = float(np.max(np.abs(div_tau(bundle, fluid,
-                                               mode="constant"))))
+            norm = float(np.max(np.abs(div_tau(bundle, fluid))))
             regime = phantom_verdict(sigma, p).regime
             cells.append("%s %6.0e" % (MARK[regime], norm))
         print("%7.2f  %s" % (sigma, " ".join(cells)))
 
-    print("\nconservation holds exactly on the B column/diagonal: "
-          "div tau = (sigma + p) div(pi x pi) in this mode.")
+    print("\nconservation holds to rounding on the B column/diagonal: "
+          "div tau = (sigma + p) div(pi x pi) for a constant fluid.")
     return 0
 
 

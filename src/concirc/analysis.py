@@ -13,10 +13,10 @@ are gated on the verdict that makes them applicable:
 * gated on the concircularity verdict — the six closed-form Ricci relations,
   the six Einstein-tensor relations, the generator-derivative closed form,
   and the modified-connection Lie-derivative theorem;
-* gated on the GRW verdict — the GRW identity battery and the divergence
-  identity div(pi x pi) = (n-1) pi; when Ric is also quasi-Einstein in pi
-  (the perfect-fluid case), the coefficient identities a - b = n - 1 with
-  the scalar-curvature rewrite.
+* gated on the GRW verdict — the GRW identity battery, whose last row is
+  the divergence identity div(pi x pi) = (n-1) pi; when Ric is also
+  quasi-Einstein in pi (the perfect-fluid case), the coefficient
+  identities a - b = n - 1 with the scalar-curvature rewrite.
 
 The verdicts come from classify.classify_point, once per point; the gated
 identities are called here, after it.
@@ -36,8 +36,9 @@ from .connection import (build_connection, identity_suite, lie_g_nonsym,
                          nabla1_P)
 from .curvature import (curvature_family, einstein_relations,
                         ricci_relations, scalar_relations)
-from .geometry import SingularMetricError, frame_at, residual
-from .relativity import div_pi_pi, efe_residual, phantom_verdict
+from .geometry import (SingularMetricError, frame_at, nabla_metric, residual,
+                       scalar_residual)
+from .relativity import efe_residual, phantom_verdict
 from .report import Report
 from .sampling import LCG, draw_point
 
@@ -104,11 +105,8 @@ def _evaluate_point(rep: Report, setup: AnalysisSetup, point: np.ndarray):
     cls = classify_point(setup.metric, setup.vector, bundle, setup.tol)
 
     # ---- unconditional identities ------------------------------------
-    gamma = f.gamma
-    nabla_g_lc = (f.dg
-                  - np.einsum("mai,mj->ija", gamma, f.g)
-                  - np.einsum("maj,im->ija", gamma, f.g))
-    rep.check("metricity_levi_civita", idx, residual(nabla_g_lc, f.g))
+    rep.check("metricity_levi_civita", idx,
+              residual(nabla_metric(f.gamma, f), f.g))
     rep.check("metricity_semi_symmetric", idx, residual(c.nabla1_g(), f.g))
     rep.check("torsion_antisymmetry", idx,
               residual(c.torsion + np.einsum("kij->kji", c.torsion), f.g))
@@ -140,13 +138,12 @@ def _evaluate_point(rep: Report, setup: AnalysisSetup, point: np.ndarray):
     if cls.grw.passes:
         for name, res in grw_identity_suite(bundle).items():
             rep.check("grw_%s" % name, idx, res)
-        rep.check("grw_divergence_identity", idx,
-                  residual(div_pi_pi(c) - (c.n - 1.0) * c.pi, f.g))
         # a GRW spacetime is a perfect fluid only when Ric = a g + b pi x pi
         if qe.quasi_einstein:
             fluid_kind = perfect_fluid_kind(bundle, qe)
             rep.check("grw_fluid_coefficients", idx,
-                      max(abs(fluid_kind.a_minus_b - (c.n - 1.0)) / c.n,
+                      max(scalar_residual(fluid_kind.a_minus_b - (c.n - 1.0),
+                                          c.n - 1.0),
                           fluid_kind.rewrite_residual))
 
     # ---- verdicts --------------------------------------------------------

@@ -11,7 +11,8 @@ Three layers:
   quasi-Einstein normal forms.
 * GRW detection — unit timelike generator with nabla_X P = X + pi(X) P,
   plus the identity battery that structure implies (eigenvalue chain,
-  parallel torsion, specialised Ricci forms, perfect-fluid coefficients).
+  parallel torsion, specialised Ricci forms, div(pi x pi) = (n - 1) pi),
+  and the perfect-fluid coefficients.
 
 Three size rules, each against the one tolerance tol:
 
@@ -37,7 +38,8 @@ from .curvature import (FAMILIES, THETAS, CurvatureBundle,
                         einstein_closed_form, nabla1_torsion)
 from .fdcheck import fd_jacobian
 from .geometry import (DEFAULT_TOL, MetricSpec, VectorFieldSpec, close,
-                       require_finite, residual)
+                       require_finite, residual, scalar_residual)
+from .relativity import div_pi_pi
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +349,7 @@ def grw_identity_suite(bundle: CurvatureBundle) -> dict:
     put("nabla_P_pi", np.einsum("ia,a->i", npi, P))
     put("lie_P_pi", c.lie_P_pi())
     put("torsion_of_P", np.einsum("kij,i->kj", c.torsion, P) - c.nabla_P())
+    put("divergence_identity", div_pi_pi(c) - target)
     return out
 
 
@@ -367,9 +370,9 @@ def perfect_fluid_kind(bundle: CurvatureBundle,
     """fit is classify_quasi_einstein on RicciData.from_bundle(bundle)."""
     n = bundle.n
     r = bundle.scalar["g"]
-    rewrite = max(abs(fit.a - (r / (n - 1.0) - 1.0)),
-                  abs(fit.b - (r / (n - 1.0) - n)))
-    return FluidKindReport(fit.a - fit.b, rewrite / (1.0 + abs(r)))
+    rewrite = max(scalar_residual(fit.a - (r / (n - 1.0) - 1.0), r),
+                  scalar_residual(fit.b - (r / (n - 1.0) - n), r))
+    return FluidKindReport(fit.a - fit.b, rewrite)
 
 
 # ---------------------------------------------------------------------------

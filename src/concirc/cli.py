@@ -17,7 +17,7 @@ import sys
 
 from .analysis import run_analysis
 from .catalog import BUILTIN_NAMES, build_case
-from .config import apply_overrides, load_config
+from .config import AnalysisSetup, apply_overrides, load_config
 
 # ConfigError, CatalogError, AnalysisError, ExprError and NonFiniteError are
 # ValueErrors
@@ -25,14 +25,18 @@ _USAGE_ERRORS = (OSError, ValueError)
 
 
 def _add_common(sub):
+    # None keeps the setup's value; the help names AnalysisSetup's defaults
+    default = AnalysisSetup._field_defaults
     sub.add_argument("--format", choices=("text", "machine"), default=None,
-                     help="output format (default: text, or the config value)")
+                     help="output format (default: %s, or the config value)"
+                          % default["fmt"])
     sub.add_argument("--tol", type=float, default=None,
-                     help="residual tolerance (default 1e-8)")
+                     help="residual tolerance (default %r)" % default["tol"])
     sub.add_argument("--seed", type=int, default=None,
-                     help="sampling seed (default 0)")
+                     help="sampling seed (default %d)" % default["seed"])
     sub.add_argument("--points", type=int, default=None,
-                     help="number of sampled points (default 16)")
+                     help="number of sampled points (default %d)"
+                          % default["n_points"])
 
 
 def _parser() -> argparse.ArgumentParser:

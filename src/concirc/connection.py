@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import (DEFAULT_TOL, MetricSpec, PointFrame, VectorFieldSpec,
-                       frame_at, require_finite, residual)
+                       frame_at, nabla_metric, require_finite, residual)
 
 
 class SSConnection(NamedTuple):
@@ -76,10 +76,7 @@ class SSConnection(NamedTuple):
 
     def nabla1_g(self) -> np.ndarray:
         """(nabla1_a g)_ij stored [i, j, a]; vanishes (metric connection)."""
-        f = self.frame
-        return (f.dg
-                - np.einsum("mai,mj->ija", self.gamma1, f.g)
-                - np.einsum("maj,im->ija", self.gamma1, f.g))
+        return nabla_metric(self.gamma1, self.frame)
 
 
 def build_connection(m: MetricSpec, p: VectorFieldSpec, point) -> SSConnection:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .connection import SSConnection
 from .geometry import (require_finite, residual, ricci_from_riemann,
-                       riemann_from_gamma)
+                       riemann_from_gamma, scalar_residual)
 
 
 class Family(NamedTuple):
@@ -174,11 +174,12 @@ def ricci_relations(bundle: CurvatureBundle) -> dict:
 
 
 def scalar_relations(bundle: CurvatureBundle) -> dict:
-    """|r^theta - closed_form_scalar| / (1 + |r^g|), theta = 0..5."""
+    """scalar_residual of r^theta against closed_form_scalar, theta = 0..5,
+    with r^g as the reference."""
     c = bundle.connection
     r_g = bundle.scalar["g"]
-    return {t: abs(closed_form_scalar(t, c, r_g) - bundle.scalar[t])
-            / (1.0 + abs(r_g))
+    return {t: scalar_residual(
+                closed_form_scalar(t, c, r_g) - bundle.scalar[t], r_g)
             for t in THETAS[1:]}
 
 

@@ -17,8 +17,9 @@ GRAD_STEP = 1e-5
 HESS_STEP = 1e-4
 
 
-def fd_gradient(fn, point, h=GRAD_STEP) -> np.ndarray:
+def fd_gradient(fn, point) -> np.ndarray:
     """Central difference gradient of a scalar callable fn(point)."""
+    h = GRAD_STEP
     point = np.asarray(point, dtype=float)
     n = point.shape[0]
     out = np.zeros(n)
@@ -29,8 +30,9 @@ def fd_gradient(fn, point, h=GRAD_STEP) -> np.ndarray:
     return out
 
 
-def fd_hessian(fn, point, h=HESS_STEP) -> np.ndarray:
+def fd_hessian(fn, point) -> np.ndarray:
     """Value-only central second differences of a scalar callable."""
+    h = HESS_STEP
     point = np.asarray(point, dtype=float)
     n = point.shape[0]
     out = np.zeros((n, n))
@@ -48,8 +50,9 @@ def fd_hessian(fn, point, h=HESS_STEP) -> np.ndarray:
     return out
 
 
-def fd_jacobian(fn, point, h=GRAD_STEP) -> np.ndarray:
+def fd_jacobian(fn, point) -> np.ndarray:
     """J[..., a] = del_a fn(point) for an array-valued callable."""
+    h = GRAD_STEP
     point = np.asarray(point, dtype=float)
     n = point.shape[0]
     f0 = np.asarray(fn(point))
@@ -62,25 +65,25 @@ def fd_jacobian(fn, point, h=GRAD_STEP) -> np.ndarray:
     return out
 
 
-def fd_metric_gradient(m: MetricSpec, point, h=GRAD_STEP) -> np.ndarray:
+def fd_metric_gradient(m: MetricSpec, point) -> np.ndarray:
     """dg[i,j,a] from value-only evaluations of the metric."""
-    return fd_jacobian(m.values, point, h)
+    return fd_jacobian(m.values, point)
 
 
-def fd_gamma(m: MetricSpec, point, h=GRAD_STEP) -> np.ndarray:
+def fd_gamma(m: MetricSpec, point) -> np.ndarray:
     """Christoffels assembled from value-only metric differences."""
     point = np.asarray(point, dtype=float)
     g = m.values(point)
     ginv = np.linalg.inv(g)
     ginv = 0.5 * (ginv + ginv.T)
-    return christoffel(ginv, fd_metric_gradient(m, point, h))
+    return christoffel(ginv, fd_metric_gradient(m, point))
 
 
-def fd_dgamma(m: MetricSpec, point, h=GRAD_STEP) -> np.ndarray:
-    """dgamma[k,i,j,a] by differencing the jet-computed Gamma at x +/- h."""
-    return fd_jacobian(lambda p: frame_at(m, p).gamma, point, h)
+def fd_dgamma(m: MetricSpec, point) -> np.ndarray:
+    """dgamma[k,i,j,a]: the jet-computed Gamma differenced at x +/- h."""
+    return fd_jacobian(lambda p: frame_at(m, p).gamma, point)
 
 
-def fd_riemann(m: MetricSpec, point, h=GRAD_STEP) -> np.ndarray:
+def fd_riemann(m: MetricSpec, point) -> np.ndarray:
     """Curvature assembled entirely from the difference pipeline."""
-    return riemann_from_gamma(fd_gamma(m, point, h), fd_dgamma(m, point, h))
+    return riemann_from_gamma(fd_gamma(m, point), fd_dgamma(m, point))

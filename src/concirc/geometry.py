@@ -202,6 +202,14 @@ def frame_at(m: MetricSpec, point) -> PointFrame:
                       dg, gamma, dgamma)
 
 
+def nabla_metric(gamma: np.ndarray, frame: PointFrame) -> np.ndarray:
+    """(nabla_a g)_ij stored [i, j, a] for connection coefficients gamma."""
+    g = frame.g
+    return (frame.dg
+            - np.einsum("mai,mj->ija", gamma, g)
+            - np.einsum("maj,im->ija", gamma, g))
+
+
 def riemann_from_gamma(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     """Curvature of any (possibly torsionful) connection in a frame."""
     term1 = np.einsum("ljki->lkij", dgamma)
@@ -223,6 +231,11 @@ DEFAULT_TOL = 1e-8
 def residual(arr, g: np.ndarray) -> float:
     """Tensor residual rule: max |arr| / (1 + max |g_ij|) for the metric g."""
     return float(np.max(np.abs(arr))) / (1.0 + float(np.max(np.abs(g))))
+
+
+def scalar_residual(diff: float, ref: float) -> float:
+    """Printed scalar rule: |diff| / (1 + |ref|) for a deviation from ref."""
+    return abs(diff) / (1.0 + abs(ref))
 
 
 def close(x: float, target: float, tol: float) -> bool:

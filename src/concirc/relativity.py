@@ -13,13 +13,13 @@ formulas below never assume it).  The field equation checked is
 in the mostly-plus signature, so vacuum de Sitter with the unit Hubble rate
 closes exactly at lam = 3, k arbitrary, tau = 0.
 
-Divergences come in two modes:
+The divergence of tau differentiates the fluid expressions too:
 
-* "constant" treats sigma and p as constants at the point, which reduces
-  div tau to (sigma + p) div(pi x pi); this is the form the closed GRW
-  identity div(pi x pi) = (n - 1) pi plugs into.
-* "full" differentiates the fluid expressions too, so equations of state
-  varying over the chart are handled without the constancy assumption.
+    div tau = dp + (dsigma + dp)(P) pi + (sigma + p) div(pi x pi).
+
+For constant sigma and p the gradients vanish and div tau reduces to
+(sigma + p) div(pi x pi), which the GRW identity div(pi x pi) = (n - 1) pi
+turns into the phantom barrier: conservation holds iff sigma + p = 0.
 """
 
 from __future__ import annotations
@@ -91,29 +91,28 @@ def div_symmetric_2tensor(c: SSConnection, tau: np.ndarray,
     return np.einsum("ab,bja->j", f.ginv, cov)
 
 
+def _d_pi_pi(c: SSConnection) -> np.ndarray:
+    """del_a (pi_b pi_j), stored [b, j, a]."""
+    return (np.einsum("ba,j->bja", c.dpi, c.pi)
+            + np.einsum("b,ja->bja", c.pi, c.dpi))
+
+
 def div_pi_pi(c: SSConnection) -> np.ndarray:
     """Divergence of pi x pi; equals (n - 1) pi for a GRW generator."""
-    dpp = (np.einsum("ba,j->bja", c.dpi, c.pi)
-           + np.einsum("b,ja->bja", c.pi, c.dpi))
-    return div_symmetric_2tensor(c, np.outer(c.pi, c.pi), dpp)
+    return div_symmetric_2tensor(c, np.outer(c.pi, c.pi), _d_pi_pi(c))
 
 
-def div_tau(bundle: CurvatureBundle, fluid: FluidParams,
-            mode: str = "full") -> np.ndarray:
+def div_tau(bundle: CurvatureBundle, fluid: FluidParams) -> np.ndarray:
+    """div tau with sigma and p differentiated as expressions."""
     c = bundle.connection
     f = c.frame
     sigma, p = fluid.values(f.point)
-    if mode == "constant":
-        return (sigma + p) * div_pi_pi(c)
-    if mode != "full":
-        raise ValueError("mode must be 'constant' or 'full'")
     dsigma, dp = fluid.gradients(f.point)
     tau = stress_energy(c, sigma, p)
     pp = np.outer(c.pi, c.pi)
-    dpp = (np.einsum("ba,j->bja", c.dpi, c.pi)
-           + np.einsum("b,ja->bja", c.pi, c.dpi))
     dtau = (np.einsum("a,bj->bja", dp, f.g) + p * f.dg
-            + np.einsum("a,bj->bja", dsigma + dp, pp) + (sigma + p) * dpp)
+            + np.einsum("a,bj->bja", dsigma + dp, pp)
+            + (sigma + p) * _d_pi_pi(c))
     return div_symmetric_2tensor(c, tau, dtau)
 
 

@@ -26,9 +26,11 @@ import pytest
 from concirc.analysis import run_analysis
 from concirc.catalog import build_case
 from concirc.config import apply_overrides, parse_config
+from concirc.connection import build_connection
+from concirc.curvature import curvature_family
 from concirc.expr import to_string
 from concirc.geometry import frame_at
-from testkit import machine_rows
+from testkit import concircular_kernel_image, machine_rows
 
 NEW = ("T", "X", "Y", "Z")
 POINTS = 8
@@ -168,7 +170,17 @@ def test_pullback_metric_is_jt_g_j():
 def test_chart_change_keeps_every_verdict(name, chart, mapping):
     setup, points, verdicts = _base(name)
     text = pullback(setup, *mapping, points)
-    rep, mapped = _verdicts(parse_config(text))
+    mapped_setup = parse_config(text)
+    rep, mapped = _verdicts(mapped_setup)
     assert len(rep.points) == POINTS, text
     assert [c.name for c in rep.checks if not c.passed] == [], text
     assert mapped == verdicts, text
+    # L P vanishes for a concircular generator.  The bound is absolute: on
+    # grw-generic's isometry_15 chart max|g| ~ e^30 and max|L P| reaches
+    # 1.6e-10; every other map stays below 1.3e-12.
+    for idx, pt in enumerate(mapped_setup.explicit_points):
+        if mapped[idx]["concircular"] == "True":
+            bundle = curvature_family(build_connection(
+                mapped_setup.metric, mapped_setup.vector, pt))
+            image = concircular_kernel_image(bundle)
+            assert np.max(np.abs(image)) <= 1e-9, (idx, text)

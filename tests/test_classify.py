@@ -255,7 +255,7 @@ class TestWarpedProductDetection:
     def test_identity_suite_on_detected_geometry(self):
         bundle = curvature_family(build_connection(DESITTER, P_TIME, PT))
         suite = grw_identity_suite(bundle)
-        assert len(suite) == 15
+        assert len(suite) == 16
         assert max(suite.values()) < 1e-11
 
     def test_fluid_coefficients_on_detected_geometry(self):

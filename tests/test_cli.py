@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from concirc.cli import main
+from concirc.config import AnalysisSetup
+from concirc.geometry import DEFAULT_TOL
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -228,6 +230,21 @@ class TestBuiltinOptions:
             ["builtin", "minkowski", "--points", "2",
              "--fluid", "rho=0", "--fluid", "p=0"], capsys)
         assert code == 2
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", ["analyze", "builtin"])
+    def test_help_names_the_owners_defaults(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        default = AnalysisSetup._field_defaults
+        assert "residual tolerance (default %r)" % DEFAULT_TOL in text
+        assert "output format (default: %s," % default["fmt"] in text
+        assert "sampling seed (default %d)" % default["seed"] in text
+        assert ("number of sampled points (default %d)"
+                % default["n_points"]) in text
 
 
 MACHINE_SELFTEST = ["selftest", "--seed", "7", "--format", "machine"]

@@ -64,21 +64,21 @@ class TestStressEnergy:
         bundle = _bundle(WARPED, PT)
         fluid = FluidParams.from_strings(
             COORDS4, sigma="3 + 3*exp(-2*t)", p="-3 - exp(-2*t)")
-        assert np.max(np.abs(div_tau(bundle, fluid, mode="full"))) < 1e-11
+        assert np.max(np.abs(div_tau(bundle, fluid))) < 1e-11
 
-    def test_constant_mode_is_barrier_gated(self):
+    def test_constant_fluid_is_barrier_gated(self):
         bundle = _bundle(WARPED, PT)
         on_line = FluidParams.from_strings(COORDS4, sigma="2", p="-2")
         off_line = FluidParams.from_strings(COORDS4, sigma="2", p="-1")
-        assert np.max(np.abs(div_tau(bundle, on_line, mode="constant"))) < 1e-14
-        assert np.max(np.abs(div_tau(bundle, off_line, mode="constant"))) > 1e-3
+        assert np.max(np.abs(div_tau(bundle, on_line))) < 1e-14
+        assert np.max(np.abs(div_tau(bundle, off_line))) > 1e-3
 
-    def test_constant_mode_is_coefficient_times_form_divergence(self):
+    def test_constant_fluid_is_coefficient_times_form_divergence(self):
+        # zero gradients leave (sigma + p) div(pi x pi), to rounding
         bundle = _bundle(WARPED, PT)
         fluid = FluidParams.from_strings(COORDS4, sigma="2", p="-1")
         expect = 1.0 * div_pi_pi(bundle.connection)
-        assert np.max(np.abs(div_tau(bundle, fluid, mode="constant")
-                             - expect)) == 0.0
+        assert np.max(np.abs(div_tau(bundle, fluid) - expect)) < 1e-15
 
     @pytest.mark.parametrize("p_expr,extra", [
         # dp_j + (dsigma + dp)(P) pi_j cancels exactly for p = t ...
@@ -86,18 +86,14 @@ class TestStressEnergy:
         # ... and reduces to dp alone when p has no time dependence.
         ("x", np.array([0.0, 1.0, 0.0, 0.0])),
     ])
-    def test_mode_difference_matches_hand_formula(self, p_expr, extra):
+    def test_gradient_terms_match_hand_formula(self, p_expr, extra):
+        # div tau = dp + (dsigma + dp)(P) pi + (sigma + p) div(pi x pi)
         bundle = _bundle(DESITTER, PT)
         fluid = FluidParams.from_strings(COORDS4, sigma="1", p=p_expr)
-        full = div_tau(bundle, fluid, mode="full")
-        const = div_tau(bundle, fluid, mode="constant")
-        assert np.max(np.abs((full - const) - extra)) < 1e-12
-
-    def test_unknown_mode_rejected(self):
-        bundle = _bundle(DESITTER, PT)
-        fluid = FluidParams.from_strings(COORDS4)
-        with pytest.raises(ValueError):
-            div_tau(bundle, fluid, mode="exotic")
+        sigma, p = fluid.values(PT)
+        gradient_terms = (div_tau(bundle, fluid)
+                          - (sigma + p) * div_pi_pi(bundle.connection))
+        assert np.max(np.abs(gradient_terms - extra)) < 1e-12
 
     def test_form_divergence_identity_on_warped_geometry(self):
         # div(pi x pi) = (n - 1) pi wherever the warp detection holds.
