@@ -129,7 +129,7 @@ def _evaluate_point(rep: Report, setup: AnalysisSetup, point: np.ndarray):
         rep.check("generator_derivative", idx,
                   nabla1_P(c).closed_form_residual)
         rep.check("modified_lie_derivative", idx,
-                  lie_g_nonsym(c).theorem_residual)
+                  lie_g_nonsym(c))
         for name, res in identity_suite(c).items():
             rep.check("identity_%s" % name, idx, res)
 
@@ -160,7 +160,7 @@ def _evaluate_point(rep: Report, setup: AnalysisSetup, point: np.ndarray):
         rep.verdict("conformal_factor", idx, tax.conformal_factor)
 
     rep.verdict("quasi_einstein", idx, qe.quasi_einstein)
-    rep.verdict("einstein", idx, qe.einstein)
+    rep.verdict("einstein", idx, cls.kinds["g"].holds)
     rep.verdict("qe_coefficient_a", idx, qe.a)
     rep.verdict("qe_coefficient_b", idx,
                 qe.b if qe.b_identifiable else None)

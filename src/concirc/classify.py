@@ -5,25 +5,18 @@ Three layers:
 * classify_vector — least-squares fit of nabla P = w X + eta(X) P per point,
   then the ladder of special cases (torqued, concircular, recurrent,
   concurrent, parallel, self-torse-forming, anti-torqued, geodesic, Killing).
-* quasi-Einstein analysis — fit Ric = a g + b pi x pi, Einstein verdict,
-  Einstein-type kinds theta via the traceless tensors E^theta, and the
-  data-level equivalences between E^theta = 0 and the corresponding
-  quasi-Einstein normal forms.
+* quasi-Einstein analysis — fit Ric = a g + b pi x pi, Einstein-type
+  kinds theta via the traceless tensors E^theta (theta = g, E^g =
+  Ric - (r/n) g, is the Einstein verdict), and the data-level
+  equivalences between E^theta = 0 and the corresponding quasi-Einstein
+  normal forms.
 * GRW detection — unit timelike generator with nabla_X P = X + pi(X) P,
   plus the identity battery that structure implies (eigenvalue chain,
   parallel torsion, specialised Ricci forms, div(pi x pi) = (n - 1) pi),
   and the perfect-fluid coefficients.
 
-Three size rules, each against the one tolerance tol:
-
-* tensors by geometry.residual: max-norm over components divided by
-  (1 + max |g_ij|) at the point;
-* scalars (omega, pi(P), eta(P), the conformal factor, r) by geometry.close,
-  whose threshold does not depend on the size of g;
-* vectors and 1-forms (P; eta, eta - pi, eta + omega pi and pi itself) by
-  their |g|-length, sqrt(P^T |g| P) or sqrt(v^T |g|^-1 v) with
-  |g| = V |Lambda| V^T from eigh(g), which depends neither on the chart's
-  scale nor on its signature.
+Every verdict is a size against the one tolerance tol, measured by a rule
+of geometry: tensors by residual, scalars by close, 1-forms by form_length.
 """
 
 from __future__ import annotations
@@ -38,7 +31,8 @@ from .curvature import (FAMILIES, THETAS, CurvatureBundle,
                         einstein_closed_form, nabla1_torsion)
 from .fdcheck import fd_jacobian
 from .geometry import (DEFAULT_TOL, MetricSpec, VectorFieldSpec, close,
-                       require_finite, residual, scalar_residual)
+                       form_length, require_finite, residual,
+                       scalar_residual)
 from .relativity import div_pi_pi
 
 
@@ -56,8 +50,8 @@ class VectorTaxonomy(NamedTuple):
 
     indeterminate: bool
     omega_hat: float | None = None
-    eta_hat: np.ndarray | None = None
     fit_residual: float | None = None
+    conformal_factor: float | None = None
     torse_forming: bool | None = None
     torqued: bool | None = None
     concircular_fialkow: bool | None = None   # eta = 0
@@ -71,17 +65,12 @@ class VectorTaxonomy(NamedTuple):
     unit_timelike: bool | None = None
     unit_spacelike: bool | None = None
     conformal_killing: bool | None = None
-    conformal_factor: float | None = None
     killing: bool | None = None
 
 
 # The boolean VectorTaxonomy fields, in the order of their VERDICT rows.
-TAXONOMY_FLAGS = (
-    "torse_forming", "torqued", "concircular_fialkow", "concircular_yano",
-    "recurrent", "concurrent", "parallel", "self_torse_forming",
-    "anti_torqued", "geodesic", "unit_timelike", "unit_spacelike",
-    "conformal_killing", "killing",
-)
+TAXONOMY_FLAGS = VectorTaxonomy._fields[
+    VectorTaxonomy._fields.index("conformal_factor") + 1:]
 
 
 def _fit_torse(nabla_p: np.ndarray, P: np.ndarray):
@@ -99,20 +88,13 @@ def _fit_torse(nabla_p: np.ndarray, P: np.ndarray):
     return float(sol[0]), sol[1:]
 
 
-def _form_small(v: np.ndarray, lam: np.ndarray, V: np.ndarray,
-                tol: float) -> bool:
-    """sqrt(v^T |g|^-1 v) <= tol for a 1-form v, |g|^-1 = V |Lambda|^-1 V^T."""
-    return bool(np.sqrt(((V.T @ v) ** 2) @ (1.0 / np.abs(lam))) <= tol)
-
-
 def classify_vector(m: MetricSpec, p: VectorFieldSpec, c: SSConnection,
                     tol: float = DEFAULT_TOL) -> VectorTaxonomy:
     """Taxonomy of c's generator; m and p rebuild c nearby for d eta."""
     f = c.frame
-    # vanishing P: sqrt(P^T |g| P) with |g| = V |Lambda| V^T, a length that
-    # does not depend on the chart's scale or signature
     lam, V = np.linalg.eigh(f.g)
-    if np.sqrt(np.abs(lam) @ (V.T @ c.P) ** 2) <= tol:
+    # P vanishes when pi = g P does: pi's length under |g|^-1 is P's under |g|
+    if form_length(c.pi, lam, V) <= tol:
         return VectorTaxonomy(indeterminate=True)
 
     M = c.nabla_P()  # [k, i]
@@ -120,7 +102,7 @@ def classify_vector(m: MetricSpec, p: VectorFieldSpec, c: SSConnection,
     fit_res = residual(M - w * np.eye(c.n) - np.outer(c.P, eta), f.g)
     torse = fit_res <= tol
 
-    eta_small = _form_small(eta, lam, V, tol)
+    eta_small = form_length(eta, lam, V) <= tol
     w_zero = close(w, 0.0, tol)
     w_one = close(w, 1.0, tol)
     eta_P = float(eta @ c.P)
@@ -142,8 +124,8 @@ def classify_vector(m: MetricSpec, p: VectorFieldSpec, c: SSConnection,
     return VectorTaxonomy(
         indeterminate=False,
         omega_hat=w,
-        eta_hat=eta,
         fit_residual=fit_res,
+        conformal_factor=factor,
         torse_forming=torse,
         torqued=torse and close(eta_P, 0.0, tol),
         concircular_fialkow=torse and eta_small,
@@ -151,13 +133,12 @@ def classify_vector(m: MetricSpec, p: VectorFieldSpec, c: SSConnection,
         recurrent=torse and w_zero,
         concurrent=torse and eta_small and w_one,
         parallel=torse and eta_small and w_zero,
-        self_torse_forming=torse and _form_small(eta - c.pi, lam, V, tol),
-        anti_torqued=torse and _form_small(eta + w * c.pi, lam, V, tol),
+        self_torse_forming=torse and form_length(eta - c.pi, lam, V) <= tol,
+        anti_torqued=torse and form_length(eta + w * c.pi, lam, V) <= tol,
         geodesic=residual(np.einsum("ki,i->k", M, c.P), f.g) <= tol,
         unit_timelike=close(c.pi_P, -1.0, tol),
         unit_spacelike=close(c.pi_P, 1.0, tol),
         conformal_killing=conformal,
-        conformal_factor=factor,
         killing=conformal and close(factor, 0.0, tol),
     )
 
@@ -218,13 +199,12 @@ class QuasiEinsteinFit(NamedTuple):
     b: float
     residual: float
     quasi_einstein: bool
-    einstein: bool
     b_identifiable: bool
 
 
 def classify_quasi_einstein(d: RicciData,
                             tol: float = DEFAULT_TOL) -> QuasiEinsteinFit:
-    """Least-squares Ric = a g + b pi x pi with an Einstein special case."""
+    """Least-squares Ric = a g + b pi x pi."""
     pp = np.outer(d.pi, d.pi)
     with np.errstate(over="ignore", invalid="ignore"):
         gp = np.sum(d.g * pp)
@@ -232,16 +212,14 @@ def classify_quasi_einstein(d: RicciData,
         rhs = np.array([np.sum(d.g * d.ric), np.sum(pp * d.ric)])
     require_finite("quasi-Einstein fit", d.point, gram, rhs)
     lam, V = np.linalg.eigh(d.g)
-    if _form_small(d.pi, lam, V, tol):
+    if form_length(d.pi, lam, V) <= tol:
         a = rhs[0] / gram[0, 0]
         b, identifiable = 0.0, False
     else:
         identifiable = True
         a, b = np.linalg.solve(gram, rhs)
     res = residual(d.ric - a * d.g - b * pp, d.g)
-    einstein = residual(d.ric - (d.r / d.n) * d.g, d.g) <= tol
-    return QuasiEinsteinFit(float(a), float(b), res, res <= tol,
-                            einstein, identifiable)
+    return QuasiEinsteinFit(float(a), float(b), res, res <= tol, identifiable)
 
 
 def einstein_type(theta, bundle: CurvatureBundle,
@@ -271,7 +249,6 @@ class EquivalenceReport(NamedTuple):
     e_holds: bool
     form_holds: bool
     consistent: bool
-    grw_kind_r: float | None      # expected scalar for unit timelike pi
     r: float
     grw_kind_matches: bool | None
 
@@ -289,11 +266,10 @@ def quasi_einstein_equivalences(
     form_res = residual(d.ric - form, d.g)
     e_holds, form_holds = e_res <= tol, form_res <= tol
 
-    if not close(pP, -1.0, tol):
-        kind_r = None
-    kind_match = None if kind_r is None else close(r, kind_r, tol)
+    # the scalar the form forces, checked when pi is unit timelike
+    kind_match = close(r, kind_r, tol) if close(pP, -1.0, tol) else None
     return EquivalenceReport(e_res, form_res, e_holds, form_holds,
-                             e_holds == form_holds, kind_r, r,
+                             e_holds == form_holds, r,
                              kind_match if form_holds else None)
 
 
@@ -303,19 +279,15 @@ def quasi_einstein_equivalences(
 
 
 class GRWReport(NamedTuple):
-    lorentzian: bool
-    unit_timelike: bool
     generator_residual: float     # nabla_X P - X - pi(X) P
-    passes: bool
+    passes: bool                  # and g Lorentzian, pi(P) = -1
 
 
 def grw_detect(c: SSConnection, tol: float = DEFAULT_TOL) -> GRWReport:
     f = c.frame
-    lorentzian = f.lorentzian
-    unit = close(c.pi_P, -1.0, tol)
     gen_res = residual(c.nabla_P() - np.eye(c.n) - np.outer(c.P, c.pi), f.g)
-    passes = lorentzian and unit and gen_res <= tol
-    return GRWReport(lorentzian, unit, gen_res, passes)
+    passes = f.lorentzian and close(c.pi_P, -1.0, tol) and gen_res <= tol
+    return GRWReport(gen_res, passes)
 
 
 def grw_identity_suite(bundle: CurvatureBundle) -> dict:

@@ -4,15 +4,17 @@
     concirc builtin <name>              run it on a catalogued case
     concirc selftest                    run the acceptance battery
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 the input
-could not be used (config syntax, unknown builtin, bad parameter or
-override, no point to evaluate, metric singular everywhere, a value that
-is not finite at a point, ...).
+Exit codes: 0 all checks pass, 1 at least one check failed or the reader
+of stdout closed it before the output was written (``concirc ... | head``),
+2 the input could not be used (config syntax, unknown builtin, bad
+parameter or override, no point to evaluate, metric singular everywhere, a
+value that is not finite at a point, ...).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .analysis import run_analysis
@@ -81,10 +83,23 @@ def _pairs(items, flag):
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "selftest":
-            from .selftest import run_selftest
-            return run_selftest(seed=args.seed, fmt=args.format,
-                                stream=sys.stdout)
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point its descriptor at
+        # devnull so that flush neither fails nor prints "Exception ignored"
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(args) -> int:
+    """Run one subcommand, writing its output to sys.stdout."""
+    if args.command == "selftest":
+        from .selftest import run_selftest
+        return run_selftest(args.seed, args.format, sys.stdout)
+    try:
         if args.command == "analyze":
             setup = load_config(args.config)
             fluid = {}

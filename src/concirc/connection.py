@@ -183,15 +183,9 @@ def identity_suite(c: SSConnection) -> dict:
     return out
 
 
-class ConformalReport(NamedTuple):
-    """Behaviour of g under the generator flow seen through nabla1."""
-
-    lie1_g: np.ndarray
-    theorem_residual: float   # against 2 (omega + pi(P)) g
-
-
-def lie_g_nonsym(c: SSConnection) -> ConformalReport:
-    """(L1_P g)(X,Y) = (nabla1_P g)(X,Y) + g(nabla1_X P, Y) + g(X, nabla1_Y P).
+def lie_g_nonsym(c: SSConnection) -> float:
+    """Residual of L1_P g against its closed form 2 (omega + pi(P)) g, where
+    (L1_P g)(X,Y) = (nabla1_P g)(X,Y) + g(nabla1_X P, Y) + g(X, nabla1_Y P).
 
     Evaluated termwise from the display, not from the closed form, so it
     reports honestly when the concircularity hypothesis fails.
@@ -201,5 +195,4 @@ def lie_g_nonsym(c: SSConnection) -> ConformalReport:
     lie1 = (np.einsum("ija,a->ij", c.nabla1_g(), c.P)
             + np.einsum("kj,ki->ij", f.g, n1P)
             + np.einsum("ik,kj->ij", f.g, n1P))
-    return ConformalReport(
-        lie1, residual(lie1 - 2.0 * (c.omega + c.pi_P) * f.g, f.g))
+    return residual(lie1 - 2.0 * (c.omega + c.pi_P) * f.g, f.g)

@@ -19,15 +19,7 @@ HESS_STEP = 1e-4
 
 def fd_gradient(fn, point) -> np.ndarray:
     """Central difference gradient of a scalar callable fn(point)."""
-    h = GRAD_STEP
-    point = np.asarray(point, dtype=float)
-    n = point.shape[0]
-    out = np.zeros(n)
-    for a in range(n):
-        step = np.zeros(n)
-        step[a] = h
-        out[a] = (fn(point + step) - fn(point - step)) / (2.0 * h)
-    return out
+    return fd_jacobian(fn, point)
 
 
 def fd_hessian(fn, point) -> np.ndarray:

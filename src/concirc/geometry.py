@@ -234,13 +234,20 @@ def residual(arr, g: np.ndarray) -> float:
 
 
 def scalar_residual(diff: float, ref: float) -> float:
-    """Printed scalar rule: |diff| / (1 + |ref|) for a deviation from ref."""
+    """Scalar rule: |diff| / (1 + |ref|) for a deviation from ref.
+
+    Scalar invariants do not scale with g, so neither does this size.
+    """
     return abs(diff) / (1.0 + abs(ref))
 
 
 def close(x: float, target: float, tol: float) -> bool:
-    """Scalar verdict rule: |x - target| <= tol (1 + |target|).
+    """Scalar verdict: scalar_residual(x - target, target) <= tol."""
+    return scalar_residual(x - target, target) <= tol
 
-    Scalar invariants do not scale with g, so neither does the threshold.
-    """
-    return abs(x - target) <= tol * (1.0 + abs(target))
+
+def form_length(v: np.ndarray, lam: np.ndarray, V: np.ndarray) -> float:
+    """1-form rule: sqrt(v^T |g|^-1 v), with |g| = V |Lambda| V^T from
+    (lam, V) = eigh(g); it depends neither on the chart's scale nor on the
+    signature of g."""
+    return float(np.sqrt(((V.T @ v) ** 2) @ (1.0 / np.abs(lam))))

@@ -31,7 +31,7 @@ import numpy as np
 from .connection import SSConnection
 from .curvature import CurvatureBundle
 from .expr import Expr, parse
-from .geometry import DEFAULT_TOL, residual as _residual
+from .geometry import DEFAULT_TOL, residual as _residual, scalar_residual
 
 
 class FluidParams(NamedTuple):
@@ -60,9 +60,7 @@ def stress_energy(c: SSConnection, sigma: float, p: float) -> np.ndarray:
 
 
 class EFEReport(NamedTuple):
-    residual: float
-    lhs: np.ndarray            # Ric - (r/2) g + lam g
-    tau: np.ndarray
+    residual: float            # Ric - (r/2) g + lam g - k tau
     sigma: float
     p: float
 
@@ -74,7 +72,7 @@ def efe_residual(bundle: CurvatureBundle, fluid: FluidParams) -> EFEReport:
     tau = stress_energy(c, sigma, p)
     lhs = bundle.ricci["g"] - 0.5 * bundle.scalar["g"] * f.g + fluid.lam * f.g
     res = _residual(lhs - fluid.k * tau, f.g)
-    return EFEReport(res, lhs, tau, sigma, p)
+    return EFEReport(res, sigma, p)
 
 
 def div_symmetric_2tensor(c: SSConnection, tau: np.ndarray,
@@ -131,9 +129,9 @@ class PhantomReport(NamedTuple):
 
 def phantom_verdict(sigma: float, p: float,
                     tol: float = DEFAULT_TOL) -> PhantomReport:
-    scale = 1.0 + abs(sigma) + abs(p)
-    at_barrier = abs(sigma + p) <= tol * scale
-    if abs(sigma) <= tol * scale:
+    size = abs(sigma) + abs(p)
+    at_barrier = scalar_residual(sigma + p, size) <= tol
+    if scalar_residual(sigma, size) <= tol:
         return PhantomReport(None, at_barrier, "undefined")
     w = p / sigma
     if at_barrier:

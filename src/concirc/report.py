@@ -42,8 +42,6 @@ def fmt_value(v) -> str:
         return "True" if v else "False"
     if isinstance(v, (float, np.floating)):
         return fmt_float(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
     return str(v)
 
 

@@ -13,7 +13,6 @@ scalar-relation half does hold, as the battery detail line shows.
 from __future__ import annotations
 
 import io
-import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -317,8 +316,7 @@ CRITERIA = (
 )
 
 
-def run_selftest(seed: int = 0, fmt: str = "text", stream=None) -> int:
-    stream = stream if stream is not None else sys.stdout
+def run_selftest(seed: int, fmt: str, stream) -> int:
     results = [fn(seed) for fn in CRITERIA]
     if fmt == "machine":
         for res in results:

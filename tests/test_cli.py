@@ -3,7 +3,9 @@
 import contextlib
 import functools
 import io
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -64,6 +66,27 @@ class TestExitCodes:
             ["builtin", "flrw", "--param", "f"], capsys)
         assert code == 2
         assert "KEY=VALUE" in err or "=" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["builtin", "minkowski", "--points", "1"],
+        ["selftest", "--format", "machine"],
+    ], ids=["builtin", "selftest"])
+    def test_closed_stdout_returns_one_quietly(self, argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]]
+                                   if env.get("PYTHONPATH") else []))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the CLI writes
+        try:
+            res = subprocess.run(
+                [sys.executable, "-m", "concirc.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+        finally:
+            os.close(write_end)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert "Exception ignored" not in res.stderr
 
 
 class TestRejectedInput:

@@ -3,10 +3,11 @@
 Each row is definitional or a theorem of the taxonomy: a GRW generator is
 unit timelike, torse-forming, self-torse-forming and concircular; a
 concurrent field is Fialkow-concircular, which in turn is torse-forming and
-Yano-concircular; and so on.  A violation needs no reference value to be
-wrong, so the table catches verdict thresholds that drift with the chart or
-with the size of g (the two de Sitter configs below, sampled at t in
-[9, 10] where max|g| = e^{2t} is about 1e8).
+Yano-concircular; a generator that does not vanish is concircular exactly
+when it is self-torse-forming; and so on.  A violation needs no reference
+value to be wrong, so the table catches verdict thresholds that drift with
+the chart or with the size of g (the two de Sitter configs below, sampled
+at t in [9, 10] where max|g| = e^{2t} is about 1e8).
 
 Two more rules need more than the VERDICT rows:
 
@@ -33,7 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # (premise, conclusion, value the conclusion must take when the premise is
-# True)
+# True[, a (name, value) pair that must also hold for the row to apply])
 IMPLICATIONS = (
     ("grw", "unit_timelike", "True"),
     ("grw", "torse_forming", "True"),
@@ -46,6 +47,11 @@ IMPLICATIONS = (
     ("parallel", "recurrent", "True"),
     ("torqued", "torse_forming", "True"),
     ("killing", "conformal_killing", "True"),
+    # nabla pi = pi x pi + omega g says nabla_X P = omega X + pi(X) P, and
+    # the converse; the taxonomy fits nothing where P vanishes
+    ("self_torse_forming", "concircular", "True"),
+    ("concircular", "self_torse_forming", "True",
+     ("generator_indeterminate", "False")),
     ("einstein", "quasi_einstein", "True"),
     ("einstein", "einstein_type_thetag", "True"),
     ("einstein_type_thetag", "einstein", "True"),
@@ -76,9 +82,10 @@ def violations(machine_output: str) -> list:
     """(point, premise, conclusion, value) for every broken implication."""
     out = []
     for idx, verdicts in sorted(_by_point(machine_output).items()):
-        for premise, conclusion, want in IMPLICATIONS:
+        for premise, conclusion, want, *given in IMPLICATIONS:
             got = verdicts.get(conclusion)
-            if verdicts.get(premise) == "True" and got != want:
+            if got != want and all(verdicts.get(name) == value for name, value
+                                   in [(premise, "True"), *given]):
                 out.append((idx, premise, conclusion, got))
     return out
 
@@ -115,6 +122,16 @@ def test_checker_reports_a_broken_implication():
     assert ("grw", "unit_timelike") in {v[1:3] for v in violations(out)}
     assert len(violations(out)) == len(
         [row for row in IMPLICATIONS if row[0] == "grw"])
+
+
+def test_checker_reports_concircular_without_self_torse_at_determinate_only():
+    out = "".join("VERDICT %s point=%d value=%s\n" % row for row in (
+        ("concircular", 0, "True"), ("generator_indeterminate", 0, "False"),
+        ("self_torse_forming", 0, "False"),
+        ("concircular", 1, "True"), ("generator_indeterminate", 1, "True"),
+        ("self_torse_forming", 1, "none")))
+    assert violations(out) == [
+        (0, "concircular", "self_torse_forming", "False")]
 
 
 def test_checker_reports_a_fluid_row_without_quasi_einstein():
