@@ -2,30 +2,16 @@
 
 Record discipline (see report.py): CHECK rows are identities that must hold
 for the given input and fail the run when violated; VERDICT rows are
-classification outcomes with no pass/fail meaning.  Conditional identities
-are gated on the verdict that makes them applicable:
-
-* always checked — both metric compatibilities, torsion antisymmetry,
-  curvature antisymmetry for the families that have it unconditionally,
-  the six scalar-curvature relations (these need only the trace
-  normalisation of omega, not concircularity), and the field equation when
-  fluid data is present;
-* gated on the concircularity verdict — the six closed-form Ricci relations,
-  the six Einstein-tensor relations, the generator-derivative closed form,
-  and the modified-connection Lie-derivative theorem;
-* gated on the GRW verdict — the GRW identity battery, whose last row is
-  the divergence identity div(pi x pi) = (n-1) pi; when Ric is also
-  quasi-Einstein in pi (the perfect-fluid case), the coefficient
-  identities a - b = n - 1 with the scalar-curvature rewrite.
-
-The verdicts come from classify.classify_point, once per point; the gated
-identities are called here, after it.
-
-A non-concircular generator therefore produces a clean exit: the inapplicable
-identities are simply not asserted, and the verdicts record why.
+classification outcomes with no pass/fail meaning.  ``ROWS`` names every
+row, the value it reports and the gate under which it is emitted; ``GATES``
+says what each gate needs and why.  A generator outside a gate therefore
+produces a clean exit: the inapplicable identities are simply not asserted,
+and the verdicts record why.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -39,10 +25,108 @@ from .curvature import (curvature_family, einstein_relations,
 from .geometry import (SingularMetricError, frame_at, nabla_metric, residual,
                        scalar_residual)
 from .relativity import efe_residual, phantom_verdict
-from .report import Report
+from .report import Report, fmt_value
 from .sampling import LCG, draw_point
 
 _ALWAYS_ANTISYM = ("g", 0, 1, 2)
+
+# gate -> (the VERDICT tokens that must all hold at a point, or None for "the
+# run has fluid data"; what the gated rows assume)
+GATES = {
+    "always": ((), "no more than the trace normalisation of omega"),
+    "fluid": (None, "a fluid: sigma, p, lambda and k are given"),
+    "concircular": ((("concircular", "True"),),
+                    "a concircular P: nabla pi = pi x pi + omega g"),
+    "grw": ((("grw", "True"),),
+            "a unit timelike torse-forming P on a Lorentzian metric"),
+    "grw_quasi_einstein": ((("grw", "True"), ("quasi_einstein", "True")),
+                           "a GRW perfect fluid: Ric = a g + b pi x pi"),
+    "determinate": ((("generator_indeterminate", "False"),),
+                    "a P that does not vanish, so the taxonomy fits"),
+}
+
+# (kind, gate, name, value) in the machine grammar's order; value(at) is the
+# row's value, or {key: value} when name holds %s.  Values reach their owners
+# through this module's globals at call time, which perfbench's tracer wraps.
+ROWS = (
+    ("CHECK", "always", "metricity_levi_civita",
+     lambda at: residual(nabla_metric(at.f.gamma, at.f), at.f.g)),
+    ("CHECK", "always", "metricity_semi_symmetric",
+     lambda at: residual(at.c.nabla1_g(), at.f.g)),
+    ("CHECK", "always", "torsion_antisymmetry", lambda at: residual(
+        at.c.torsion + np.einsum("kij->kji", at.c.torsion), at.f.g)),
+    ("CHECK", "always", "curvature_antisymmetry", lambda at: max(residual(
+        at.bundle.riemann[t] + np.einsum("lkij->lkji", at.bundle.riemann[t]),
+        at.f.g) for t in _ALWAYS_ANTISYM)),
+    ("CHECK", "always", "scalar_relation_theta%s",
+     lambda at: scalar_relations(at.bundle)),
+    ("CHECK", "fluid", "field_equation", lambda at: at.efe.residual),
+    ("CHECK", "concircular", "ricci_closed_form_theta%s",
+     lambda at: ricci_relations(at.bundle)),
+    ("CHECK", "concircular", "einstein_relation_theta%s",
+     lambda at: einstein_relations(at.bundle)),
+    ("CHECK", "concircular", "generator_derivative",
+     lambda at: nabla1_P(at.c).closed_form_residual),
+    ("CHECK", "concircular", "modified_lie_derivative",
+     lambda at: lie_g_nonsym(at.c)),
+    ("CHECK", "concircular", "identity_%s", lambda at: identity_suite(at.c)),
+    # its last row is the divergence identity div(pi x pi) = (n-1) pi
+    ("CHECK", "grw", "grw_%s", lambda at: grw_identity_suite(at.bundle)),
+    ("CHECK", "grw_quasi_einstein", "grw_fluid_coefficients",
+     lambda at: at.fluid_coefficients()),
+    ("VERDICT", "always", "concircular", lambda at: at.cls.concircular),
+    ("VERDICT", "always", "concircular_residual",
+     lambda at: at.cls.concircular_residual),
+    ("VERDICT", "always", "omega", lambda at: at.c.omega),
+    ("VERDICT", "always", "generator_indeterminate",
+     lambda at: at.tax.indeterminate),
+    *(("VERDICT", "always", flag, lambda at, flag=flag: getattr(at.tax, flag))
+      for flag in TAXONOMY_FLAGS),
+    ("VERDICT", "determinate", "omega_hat", lambda at: at.tax.omega_hat),
+    ("VERDICT", "determinate", "conformal_factor",
+     lambda at: at.tax.conformal_factor),
+    ("VERDICT", "always", "quasi_einstein", lambda at: at.qe.quasi_einstein),
+    ("VERDICT", "always", "einstein", lambda at: at.cls.kinds["g"].holds),
+    ("VERDICT", "always", "qe_coefficient_a", lambda at: at.qe.a),
+    ("VERDICT", "always", "qe_coefficient_b",
+     lambda at: at.qe.b if at.qe.b_identifiable else None),
+    ("VERDICT", "always", "einstein_type_theta%s",
+     lambda at: {t: kind.holds for t, kind in at.cls.kinds.items()}),
+    ("VERDICT", "always", "grw", lambda at: at.cls.grw.passes),
+    ("VERDICT", "fluid", "fluid_regime", lambda at: at.phantom.regime),
+    ("VERDICT", "fluid", "eos_w", lambda at: at.phantom.w),
+)
+_VERDICT = {name: value for kind, _, name, value in ROWS if kind == "VERDICT"}
+
+
+class _At:
+    """What one point's rows read: connection ``c``, frame ``f``, curvature
+    ``bundle``, verdicts ``cls``; the fluid's records on first use."""
+
+    def __init__(self, setup: AnalysisSetup, c, bundle, cls):
+        self.setup, self.c, self.f, self.bundle = setup, c, c.frame, bundle
+        self.cls, self.tax, self.qe = cls, cls.taxonomy, cls.quasi_einstein
+
+    @cached_property
+    def efe(self):
+        return efe_residual(self.bundle, self.setup.fluid)
+
+    @cached_property
+    def phantom(self):
+        return phantom_verdict(self.efe.sigma, self.efe.p, self.setup.tol)
+
+    def fluid_coefficients(self) -> float:
+        """a - b = n - 1 at a GRW perfect fluid, and the rewrite of a, b."""
+        kind, n1 = perfect_fluid_kind(self.bundle, self.qe), self.c.n - 1.0
+        return max(scalar_residual(kind.a_minus_b - n1, n1),
+                   kind.rewrite_residual)
+
+    def gates(self) -> set:
+        """The gates that hold here, read from this point's verdict tokens."""
+        return {gate for gate, (need, _) in GATES.items()
+                if (self.setup.fluid is not None if need is None else
+                    all(fmt_value(_VERDICT[name](self)) == token
+                        for name, token in need))}
 
 
 class AnalysisError(ValueError):
@@ -100,75 +184,15 @@ def run_analysis(setup: AnalysisSetup) -> Report:
 def _evaluate_point(rep: Report, setup: AnalysisSetup, point: np.ndarray):
     idx = rep.add_point(point)
     c = build_connection(setup.metric, setup.vector, point)
-    f = c.frame
     bundle = curvature_family(c)
-    cls = classify_point(setup.metric, setup.vector, bundle, setup.tol)
-
-    # ---- unconditional identities ------------------------------------
-    rep.check("metricity_levi_civita", idx,
-              residual(nabla_metric(f.gamma, f), f.g))
-    rep.check("metricity_semi_symmetric", idx, residual(c.nabla1_g(), f.g))
-    rep.check("torsion_antisymmetry", idx,
-              residual(c.torsion + np.einsum("kij->kji", c.torsion), f.g))
-    anti = max(residual(bundle.riemann[t]
-                        + np.einsum("lkij->lkji", bundle.riemann[t]), f.g)
-               for t in _ALWAYS_ANTISYM)
-    rep.check("curvature_antisymmetry", idx, anti)
-    for t, res in scalar_relations(bundle).items():
-        rep.check("scalar_relation_theta%s" % t, idx, res)
-    if setup.fluid is not None:
-        efe = efe_residual(bundle, setup.fluid)
-        rep.check("field_equation", idx, efe.residual)
-
-    # ---- identities that apply to concircular generators --------------
-    if cls.concircular:
-        for t, res in ricci_relations(bundle).items():
-            rep.check("ricci_closed_form_theta%s" % t, idx, res)
-        for t, res in einstein_relations(bundle).items():
-            rep.check("einstein_relation_theta%s" % t, idx, res)
-        rep.check("generator_derivative", idx,
-                  nabla1_P(c).closed_form_residual)
-        rep.check("modified_lie_derivative", idx,
-                  lie_g_nonsym(c))
-        for name, res in identity_suite(c).items():
-            rep.check("identity_%s" % name, idx, res)
-
-    # ---- GRW spacetimes ------------------------------------------------
-    qe = cls.quasi_einstein
-    if cls.grw.passes:
-        for name, res in grw_identity_suite(bundle).items():
-            rep.check("grw_%s" % name, idx, res)
-        # a GRW spacetime is a perfect fluid only when Ric = a g + b pi x pi
-        if qe.quasi_einstein:
-            fluid_kind = perfect_fluid_kind(bundle, qe)
-            rep.check("grw_fluid_coefficients", idx,
-                      max(scalar_residual(fluid_kind.a_minus_b - (c.n - 1.0),
-                                          c.n - 1.0),
-                          fluid_kind.rewrite_residual))
-
-    # ---- verdicts --------------------------------------------------------
-    rep.verdict("concircular", idx, cls.concircular)
-    rep.verdict("concircular_residual", idx, cls.concircular_residual)
-    rep.verdict("omega", idx, c.omega)
-
-    tax = cls.taxonomy
-    rep.verdict("generator_indeterminate", idx, tax.indeterminate)
-    for flag in TAXONOMY_FLAGS:
-        rep.verdict(flag, idx, getattr(tax, flag))
-    if not tax.indeterminate:
-        rep.verdict("omega_hat", idx, tax.omega_hat)
-        rep.verdict("conformal_factor", idx, tax.conformal_factor)
-
-    rep.verdict("quasi_einstein", idx, qe.quasi_einstein)
-    rep.verdict("einstein", idx, cls.kinds["g"].holds)
-    rep.verdict("qe_coefficient_a", idx, qe.a)
-    rep.verdict("qe_coefficient_b", idx,
-                qe.b if qe.b_identifiable else None)
-    for t, kind in cls.kinds.items():
-        rep.verdict("einstein_type_theta%s" % t, idx, kind.holds)
-    rep.verdict("grw", idx, cls.grw.passes)
-
-    if setup.fluid is not None:
-        ph = phantom_verdict(efe.sigma, efe.p, setup.tol)
-        rep.verdict("fluid_regime", idx, ph.regime)
-        rep.verdict("eos_w", idx, ph.w)
+    at = _At(setup, c, bundle,
+             classify_point(setup.metric, setup.vector, bundle, setup.tol))
+    held = at.gates()
+    for kind, gate, name, value in ROWS:
+        if gate in held:
+            emit = rep.check if kind == "CHECK" else rep.verdict
+            if "%s" in name:
+                for key, v in value(at).items():
+                    emit(name % key, idx, v)
+            else:
+                emit(name, idx, value(at))

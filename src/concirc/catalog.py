@@ -6,16 +6,16 @@ catalog doubles as a living regression corpus:
 * ``minkowski`` — flat metric with the spacelike generator P = d_x.  The
   generator is parallel (hence torse-forming in the degenerate sense) but it
   is NOT concircular: nabla pi - pi x pi = -pi x pi cannot be a multiple of
-  the metric for a nonzero spacelike pi.  The closed-form Ricci relations are
-  therefore gated off; the scalar relations still hold because they only need
-  the trace normalisation of omega.
+  the metric for a nonzero spacelike pi.  The ``concircular`` gate therefore
+  holds back the closed-form Ricci relations; the scalar relations still hold
+  because they only need the trace normalisation of omega.
 * ``desitter-flat`` — flat-sliced exponential warp, P = d_t.  Unit timelike,
   self-torse-forming, concircular with omega = 1; a GRW generator.  Vacuum
   field equations close with lam = 3.
 * ``flrw`` — warp f(t) (default f = t) with the generator
   P = (t / (1 + t^2/2)) d_t, which satisfies the concircularity equation with
   omega = phi/t at every t != 0 for the default warp.  Overriding f without
-  changing P simply flips the concircular verdict and gates the anchors off.
+  changing P flips the verdict and closes the anchors' ``concircular`` gate.
 * ``grw-generic`` — warp e^t over a curved conformally flat base, so the
   scalar curvature 12 + 6 e^{-2t} genuinely varies from point to point while
   the perfect-fluid coefficients keep a - b = n - 1 = 3.

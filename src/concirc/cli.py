@@ -57,8 +57,7 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("--param", action="append", default=[], metavar="KEY=EXPR",
                    help="builtin parameter, e.g. f=exp(t) (repeatable)")
     b.add_argument("--fluid", action="append", default=[], metavar="KEY=VAL",
-                   help="fluid data: sigma, p (alias rho), lambda, k "
-                        "(repeatable)")
+                   help="fluid data: sigma, p, lambda, k (repeatable)")
     _add_common(b)
 
     s = subs.add_parser("selftest", help="run the acceptance battery")

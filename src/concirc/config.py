@@ -28,7 +28,7 @@ downstream number.
 
     [fluid]                       # optional; enables the field-equation check
     sigma = "0"
-    p = "0"                       # 'rho' is accepted as an alias for p
+    p = "0"
     lambda = 3
     k = 1
 
@@ -330,8 +330,7 @@ def _sampling(entries, coords) -> dict:
     return out
 
 
-_FLUID_FIELDS = {"sigma": "sigma", "p": "p", "rho": "p", "lambda": "lam",
-                 "k": "k"}
+_FLUID_FIELDS = {"sigma": "sigma", "p": "p", "lambda": "lam", "k": "k"}
 
 
 def _fluid_over(base: FluidParams | None, coords, rows,
@@ -347,9 +346,6 @@ def _fluid_over(base: FluidParams | None, coords, rows,
         name = _FLUID_FIELDS.get(key)
         if name is None:
             raise ConfigError("unknown key %r in [fluid]" % key, where)
-        if name in fields:  # only through p's alias; keys are unique
-            raise ConfigError("pressure given twice (p and its alias rho)",
-                              where)
         if name in ("sigma", "p"):
             text = _quoted(value, key, where) if quoted else value
             fields[name] = _expression(text, key, where, coords)

@@ -124,7 +124,7 @@ class TestOverrides:
         assert setup.fluid.p is base.fluid.p
 
     def test_fluid_without_a_base_uses_the_config_defaults(self):
-        setup = apply_overrides(build_case("flrw"), fluid={"rho": "t"})
+        setup = apply_overrides(build_case("flrw"), fluid={"p": "t"})
         assert to_string(setup.fluid.sigma) == "0"
         assert to_string(setup.fluid.p) == "t"
         assert (setup.fluid.lam, setup.fluid.k) == (0.0, 1.0)
@@ -223,7 +223,7 @@ P_u = "u"
             "margin must be positive")
         self._expect_error(
             base.replace('sigma = "0"', 'sigma = "0"\nrho = "1"'),
-            "alias|both")
+            "unknown key 'rho' in \\[fluid\\]")
         self._expect_error(
             base.replace("[sampling]", "[sampling]\nwidth = 2"),
             "unknown key")

@@ -11,26 +11,28 @@ point by point, and neither run may FAIL a CHECK.
 The de Sitter isometry T = t + c, X^i = e^-c x^i at c up to 15 makes
 max|g| ~ e^(2c); it is an isometry of ``desitter-flat`` and a valid chart of
 ``grw-generic``.  It passes because 1-forms are judged by their |g|-length.
-One map is left out because it fails today (ROADMAP item 9(b2)): a boost of
-rapidity 3 (bug C: verdicts differ and CHECK families FAIL).
+
+A boost of rapidity 3 still moves verdicts (ROADMAP item 9(b2), bug C).  The
+tol sweep bounds that: a verdict is *fragile* when its value is not the same
+at every tol of TOLS.  No verdict of an unboosted run is fragile, and every
+verdict that the boost flips is fragile in the boosted run.
 """
 
 import functools
-import io
 import math
 import re
 
 import numpy as np
 import pytest
 
-from concirc.analysis import run_analysis
 from concirc.catalog import build_case
 from concirc.config import apply_overrides, parse_config
 from concirc.connection import build_connection
 from concirc.curvature import curvature_family
 from concirc.expr import to_string
 from concirc.geometry import frame_at
-from testkit import concircular_kernel_image, machine_rows
+from testkit import (concircular_kernel_image, load_source, machine,
+                     machine_rows)
 
 NEW = ("T", "X", "Y", "Z")
 POINTS = 8
@@ -128,11 +130,9 @@ def pullback(setup, J: np.ndarray, shift: np.ndarray, points) -> str:
 
 def _verdicts(setup):
     """(report, {point: {name: True/False token}}) for one run."""
-    rep = run_analysis(setup)
-    out = io.StringIO()
-    rep.render("machine", out)
+    rep, out = machine(setup)
     by_point = {}
-    for name, idx, value in machine_rows(out.getvalue(), "VERDICT"):
+    for name, idx, value in machine_rows(out, "VERDICT"):
         if value in ("True", "False"):
             by_point.setdefault(idx, {})[name] = value
     return rep, by_point
@@ -184,3 +184,35 @@ def test_chart_change_keeps_every_verdict(name, chart, mapping):
                 mapped_setup.metric, mapped_setup.vector, pt))
             image = concircular_kernel_image(bundle)
             assert np.max(np.abs(image)) <= 1e-9, (idx, text)
+
+
+TOLS = (1e-11, 1e-8, 1e-5)
+# rapidity log 20, about 3, with a cosh and a sinh that print exactly
+BOOST_3 = np.array([[401 / 40, 399 / 40, 0, 0], [399 / 40, 401 / 40, 0, 0],
+                    [0, 0, 1, 0], [0, 0, 0, 1]])
+SWEPT = ("desitter-flat", "grw-generic", "flrw")
+
+
+def sweep(setup) -> tuple:
+    """(each (point, name) of a boolean verdict that moves across TOLS,
+    the verdicts at tol 1e-8)."""
+    runs = [_verdicts(apply_overrides(setup, tol=tol))[1] for tol in TOLS]
+    return {(idx, name) for idx in runs[0] for run in runs for name in run[idx]
+            if len({r[idx].get(name) for r in runs}) > 1}, runs[1]
+
+
+@pytest.mark.parametrize("name", SWEPT + ("generic.cfg",))
+def test_no_verdict_of_an_unboosted_run_is_fragile(name):
+    setup = apply_overrides(load_source(name), points=POINTS)
+    assert sweep(setup)[0] == set()
+
+
+@pytest.mark.parametrize("name", SWEPT)
+def test_every_verdict_the_rapidity_3_boost_flips_is_fragile(name):
+    setup, points, verdicts = _base(name)
+    fragile, mapped = sweep(parse_config(pullback(setup, BOOST_3, NO_SHIFT,
+                                                  points)))
+    flips = {(idx, n) for idx in verdicts
+             for n in set(verdicts[idx]) | set(mapped[idx])
+             if verdicts[idx].get(n) != mapped[idx].get(n)}
+    assert flips and flips <= fragile, (sorted(flips - fragile), len(flips))

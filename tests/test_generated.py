@@ -21,14 +21,12 @@ imply GRW).  The draws are derandomized, so a tier-1 run is repeatable,
 and not shrunk: a failing example prints its whole config.
 """
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from concirc.analysis import run_analysis
+from concirc.analysis import ROWS
 from concirc.classify import KINDS, RicciData, quasi_einstein_equivalences
 from concirc.config import AnalysisSetup, parse_config
 from concirc.connection import build_connection
@@ -36,27 +34,9 @@ from concirc.curvature import curvature_family
 from concirc.geometry import residual
 from concirc.sampling import LCG
 from concirc.selftest import _random_pair
-from testkit import concircular_kernel_image, machine_rows
-from test_lattice import (abstract_premises, abstract_violations,
-                          violations)
-
-UNCONDITIONAL = frozenset(
-    ["metricity_levi_civita", "metricity_semi_symmetric",
-     "torsion_antisymmetry", "curvature_antisymmetry"]
-    + ["scalar_relation_theta%d" % t for t in range(6)])
-CONCIRCULAR_GATED = frozenset(
-    ["ricci_closed_form_theta%d" % t for t in range(6)]
-    + ["einstein_relation_theta%d" % t for t in range(6)]
-    + ["generator_derivative", "modified_lie_derivative"]
-    + ["identity_" + name for name in (
-        "nabla1_along_P", "pi_of_torsion", "nabla_pi_on_P", "nabla_P_pi",
-        "lie_P_pi", "lie_P_g")])
-GRW_GATED = frozenset(
-    ["grw_ric1_of_P", "grw_ric_g_eigen", "grw_ric0_eigen", "grw_ric4_eigen",
-     "grw_ric5_eigen", "grw_nabla1_torsion"]
-    + ["grw_ric%d_form" % t for t in range(6)]
-    + ["grw_nabla_P_pi", "grw_lie_P_pi", "grw_torsion_of_P",
-       "grw_divergence_identity", "grw_fluid_coefficients"])
+from testkit import concircular_kernel_image, machine, machine_rows
+from test_lattice import (abstract_premises, by_point, entry_of, gates_held,
+                          run_violations)
 
 COORDS = {3: ("t", "x", "y"), 4: ("t", "x", "y", "z"),
           5: ("t", "x", "y", "z", "w")}
@@ -68,22 +48,6 @@ def _num(x: float) -> str:
     return "(%s)" % np.format_float_positional(x, unique=True, trim="-")
 
 
-def _statuses(out: str) -> dict:
-    """CHECK name -> set of statuses over the points (aggregate excluded)."""
-    found = {}
-    for name, _, status in machine_rows(out, "CHECK"):
-        found.setdefault(name, set()).add(status)
-    return found
-
-
-def _machine(setup: AnalysisSetup):
-    """(the run's points, its machine output)."""
-    rep = run_analysis(setup)
-    out = io.StringIO()
-    rep.render("machine", out)
-    return rep.points, out.getvalue()
-
-
 # -- (a) random regular pairs ----------------------------------------------
 
 @settings(max_examples=20, **_SETTINGS)
@@ -91,15 +55,13 @@ def _machine(setup: AnalysisSetup):
 def test_random_pairs_pass_every_unconditional_check(seed):
     coords = COORDS[4]
     metric, vector = _random_pair(LCG(seed), coords)
-    points, out = _machine(AnalysisSetup(
-        coords, metric, vector, ((-1.0, 1.0),) * 4, n_points=3,
-        seed=seed & 0xFFFF))
-    found = _statuses(out)
-    assert UNCONDITIONAL <= set(found)
-    assert {n: s for n, s in found.items() if n in UNCONDITIONAL
-            and s != {"PASS"}} == {}
-    assert violations(out) == []
-    assert abstract_violations(out, metric, points) == []
+    setup = AnalysisSetup(coords, metric, vector, ((-1.0, 1.0),) * 4,
+                          n_points=3, seed=seed & 0xFFFF)
+    rep, out = machine(setup)
+    assert run_violations(out, setup, rep.points) == []
+    assert [(name, idx) for name, idx, status in machine_rows(out, "CHECK")
+            if status != "PASS"
+            and ROWS[entry_of("CHECK", name)][1] == "always"] == []
 
 
 # -- (b) concircular warped products ----------------------------------------
@@ -153,17 +115,19 @@ def warped_configs(draw, n: int, families):
     return "\n".join(lines) + "\n"
 
 
-def _assert_passes(text: str, gated: frozenset):
+def _assert_passes(text: str, gates: set):
+    """Exactly ``gates`` hold at every point, and every CHECK passes."""
     setup = parse_config(text)
-    points, out = _machine(setup)
-    found = _statuses(out)
-    assert set(found) == UNCONDITIONAL | gated, text
-    assert {n: s for n, s in found.items() if s != {"PASS"}} == {}, text
-    assert violations(out) == [], text
+    rep, out = machine(setup)
+    points = rep.points
+    assert [gates_held(verdicts, False) for verdicts in by_point(out)
+            .values()] == [gates] * len(points), text
+    assert "status=FAIL" not in out, text
+    assert run_violations(out, setup, points) == [], text
     # the abstract's premise holds exactly where the generator is unit
     premises = abstract_premises(out, setup.metric, points)
     assert premises == ({i: "True" for i in range(len(points))}
-                        if GRW_GATED <= gated else {}), text
+                        if "grw" in gates else {}), text
     for point in points:
         c = build_connection(setup.metric, setup.vector, point)
         bundle = curvature_family(c)
@@ -182,11 +146,12 @@ def test_grw_warped_product_passes_every_gated_check(n, examples):
     @settings(max_examples=examples, **_SETTINGS)
     @given(warped_configs(n, ("grw",)))
     def check(text):
-        _assert_passes(text, CONCIRCULAR_GATED | GRW_GATED)
+        _assert_passes(text, {"always", "determinate", "concircular", "grw",
+                              "grw_quasi_einstein"})
     check()
 
 
 @settings(max_examples=8, **_SETTINGS)
 @given(warped_configs(4, ("exp", "quad", "cosh")))
 def test_concircular_warped_product_passes_its_gated_checks(text):
-    _assert_passes(text, CONCIRCULAR_GATED)
+    _assert_passes(text, {"always", "determinate", "concircular"})

@@ -33,7 +33,7 @@ CASES = [
     # text case also pins the builtin's ``case:`` preamble line
     ("override_minkowski_fluid.out",
      ["builtin", "minkowski", "--points", "3", "--fluid", "lambda=1",
-      "--fluid", "rho=2", "--format", "machine"], 1),
+      "--fluid", "p=2", "--format", "machine"], 1),
     ("override_flrw_text.out",
      ["builtin", "flrw", "--param", "f=t^2", "--fluid", "sigma=t",
       "--tol", "1e-9", "--seed", "3", "--points", "3"], 1),

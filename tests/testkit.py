@@ -2,17 +2,24 @@
 
 The Levi-Civita contractions and the generic covariant derivative are
 independent routes to quantities the engine computes by specialised code.
-``machine_rows`` reads the per-point rows of ``--format machine`` output.
+``machine`` runs a setup in process and ``machine_rows`` reads the per-point
+rows of its ``--format machine`` output.
 """
 
+import io
 import re
+from pathlib import Path
 
 import numpy as np
 
+from concirc.analysis import run_analysis
+from concirc.catalog import build_case
+from concirc.config import load_config
 from concirc.geometry import (MetricSpec, PointFrame, VectorFieldSpec,
                               ricci_from_riemann, riemann_from_gamma)
 
 COORDS4 = ("t", "x", "y", "z")
+GENERIC_CFG = Path(__file__).resolve().parents[1] / "perfbench" / "generic.cfg"
 
 
 def diag_metric(coords, entries):
@@ -83,6 +90,14 @@ def covariant_derivative(components, variance, f: PointFrame,
     return out
 
 
+def counted(calls: dict, name: str, fn):
+    """``fn``, adding 1 to ``calls[name]`` at each call."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def concircular_kernel_image(bundle) -> np.ndarray:
     """L P, which vanishes for every concircular generator P.
 
@@ -96,6 +111,20 @@ def concircular_kernel_image(bundle) -> np.ndarray:
     return (np.einsum("lkij,k->lij", bundle.riemann["g"], c.P)
             + (np.einsum("i,lj->lij", ric_P, eye)
                - np.einsum("j,li->lij", ric_P, eye)) / (c.n - 1.0))
+
+
+def load_source(source: str):
+    """The setup of builtin ``source``, or of ``perfbench/generic.cfg``."""
+    return (load_config(GENERIC_CFG) if source == "generic.cfg"
+            else build_case(source))
+
+
+def machine(setup) -> tuple:
+    """(report, machine output) of one in-process run."""
+    rep = run_analysis(setup)
+    out = io.StringIO()
+    rep.render("machine", out)
+    return rep, out.getvalue()
 
 
 _MACHINE_ROW = re.compile(
